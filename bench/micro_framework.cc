@@ -12,6 +12,7 @@
 #include "metrics/latency.hh"
 #include "metrics/mmu.hh"
 #include "metrics/request_synth.hh"
+#include "metrics/summary.hh"
 #include "runtime/execution.hh"
 #include "sim/engine.hh"
 #include "stats/pca.hh"
@@ -59,6 +60,25 @@ BM_MeteredLatency(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_MeteredLatency)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/** The paper's three latency quantiles (p50, p99, p99.9) of n
+ *  samples in one selection pass, copy of the sample included. */
+void
+BM_Quantiles(benchmark::State &state)
+{
+    const auto n = static_cast<int>(state.range(0));
+    support::Rng rng(5);
+    std::vector<double> sample;
+    for (int i = 0; i < n; ++i)
+        sample.push_back(rng.exponential(1e6));
+    const std::vector<double> qs = {0.5, 0.99, 0.999};
+    for (auto _ : state) {
+        auto values = metrics::quantiles(sample, qs);
+        benchmark::DoNotOptimize(values.data());
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Quantiles)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /** MMU queries over a large pause log. */
 void

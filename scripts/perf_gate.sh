@@ -84,14 +84,15 @@ for BASELINE in "${BASELINES[@]}"; do
     "$BENCH" compare --baseline "$BASELINE" --repeats 5 $GATE_FLAGS
 done
 
-# Advisory microbench rows: per-event engine cost and the GC pause
+# Advisory microbench rows: per-event engine cost, the GC pause
 # round-trip (stall -> batch freeze -> fused TTSP+pause compute ->
-# batch resume). Printed for the trajectory log; never fails the
-# build — the harness-level gate above is the arbiter.
+# batch resume) and the latency summaries (selection quantiles,
+# single-sort metered latency). Printed for the trajectory log; never
+# fails the build — the harness-level gate above is the arbiter.
 MICRO="$BUILD_DIR/bench/micro_framework"
 if [ -x "$MICRO" ]; then
-    echo "== advisory: engine step / pause path microbenches"
-    "$MICRO" --benchmark_filter='BM_EngineStep|BM_PausePath' \
+    echo "== advisory: engine step / pause path / latency summary microbenches"
+    "$MICRO" --benchmark_filter='BM_EngineStep|BM_PausePath|BM_Quantiles|BM_MeteredLatency' \
         --benchmark_min_time=0.2 || true
 fi
 

@@ -1,6 +1,7 @@
 #include "harness/latency_experiment.hh"
 
 #include "metrics/latency.hh"
+#include "metrics/summary.hh"
 #include "report/codec.hh"
 #include "support/rng.hh"
 #include "trace/hot_metrics.hh"
@@ -98,21 +99,24 @@ runLatencySweep(const std::vector<std::string> &workload_names,
                         workload.requests, timed.wall_begin,
                         timed.wall_end,
                         support::Rng(run_options.base_seed));
-                    const auto simple =
-                        cell.requests.simpleLatencies();
-                    const auto metered = cell.requests.meteredLatencies(
-                        options.metered_window_ns);
+                    // Each view is built once and moved into one
+                    // selection pass over all of its quantiles.
+                    const auto simple = metrics::quantiles(
+                        cell.requests.simpleLatencies(),
+                        {0.5, 0.99, 0.999});
+                    const auto metered = metrics::quantiles(
+                        cell.requests.meteredLatencies(
+                            options.metered_window_ns),
+                        {0.5, 0.999});
                     cell.ok = true;
                     cell.have_raw = true;
-                    cell.p50_ns = metrics::quantile(simple, 0.5);
-                    cell.p99_ns = metrics::quantile(simple, 0.99);
-                    cell.p999_ns = metrics::quantile(simple, 0.999);
+                    cell.p50_ns = simple[0];
+                    cell.p99_ns = simple[1];
+                    cell.p999_ns = simple[2];
                     cell.intended_p99_ns = metrics::quantile(
                         cell.requests.intendedLatencies(), 0.99);
-                    cell.metered_p50_ns =
-                        metrics::quantile(metered, 0.5);
-                    cell.metered_p999_ns =
-                        metrics::quantile(metered, 0.999);
+                    cell.metered_p50_ns = metered[0];
+                    cell.metered_p999_ns = metered[1];
                 }
                 if (journal != nullptr)
                     journal->append(key, encodeCell(cell));

@@ -53,19 +53,28 @@ decodeCell(const std::vector<std::string> &fields, OpenLoopCell &cell)
            report::decodeDouble(fields[10], cell.mean_pace);
 }
 
-/** Fill a cell's quantile block from the two latency views. */
-void
+/** Fill a cell's quantile block from the two latency views, each
+ *  built once, and return the sum of the arrival-stamped latencies
+ *  (the numerator of the utility's mean latency). */
+double
 fillQuantiles(const metrics::LatencyRecorder &recorder,
               OpenLoopCell &cell)
 {
-    const auto arrival = recorder.intendedLatencies();
-    const auto service = recorder.simpleLatencies();
-    cell.arrival_p50_ns = metrics::quantile(arrival, 0.5);
-    cell.arrival_p99_ns = metrics::quantile(arrival, 0.99);
-    cell.arrival_p999_ns = metrics::quantile(arrival, 0.999);
-    cell.service_p50_ns = metrics::quantile(service, 0.5);
-    cell.service_p99_ns = metrics::quantile(service, 0.99);
-    cell.service_p999_ns = metrics::quantile(service, 0.999);
+    auto arrival = recorder.intendedLatencies();
+    double latency_sum = 0.0;
+    for (double l : arrival)
+        latency_sum += l;
+    const auto arrival_q =
+        metrics::quantiles(std::move(arrival), {0.5, 0.99, 0.999});
+    const auto service_q = metrics::quantiles(recorder.simpleLatencies(),
+                                              {0.5, 0.99, 0.999});
+    cell.arrival_p50_ns = arrival_q[0];
+    cell.arrival_p99_ns = arrival_q[1];
+    cell.arrival_p999_ns = arrival_q[2];
+    cell.service_p50_ns = service_q[0];
+    cell.service_p99_ns = service_q[1];
+    cell.service_p999_ns = service_q[2];
+    return latency_sum;
 }
 
 /** Score a finished cell with the shared utility yardstick. */
@@ -119,10 +128,7 @@ runClosedCell(const workloads::Descriptor &workload,
     if (recorder.empty())
         return;
     cell.ok = true;
-    fillQuantiles(recorder, cell);
-    double latency_sum = 0.0;
-    for (double l : recorder.intendedLatencies())
-        latency_sum += l;
+    const double latency_sum = fillQuantiles(recorder, cell);
     scoreCell(static_cast<double>(recorder.size()), latency_sum,
               timed.wall_end - timed.wall_begin, options.pacer, cell);
 }
@@ -156,10 +162,7 @@ runLiveCell(const workloads::Descriptor &workload,
     if (!run.usable() || driver.completed() == 0)
         return;
     cell.ok = true;
-    fillQuantiles(driver.requests(), cell);
-    double latency_sum = 0.0;
-    for (double l : driver.requests().intendedLatencies())
-        latency_sum += l;
+    const double latency_sum = fillQuantiles(driver.requests(), cell);
     scoreCell(static_cast<double>(driver.completed()), latency_sum,
               run.wall, options.pacer, cell);
     cell.shed = static_cast<double>(driver.shedCount());

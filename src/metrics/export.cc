@@ -1,6 +1,5 @@
 #include "metrics/export.hh"
 
-#include <algorithm>
 #include <fstream>
 #include <functional>
 
@@ -17,12 +16,9 @@ exportLatencyCsv(const LatencyRecorder &recorder, double window_ns,
     csv.header({"intended_ns", "start_ns", "end_ns", "intended_lat_ns",
                 "simple_ns", "metered_ns"});
 
-    std::vector<LatencyEvent> by_start = recorder.events();
-    std::sort(by_start.begin(), by_start.end(),
-              [](const LatencyEvent &a, const LatencyEvent &b) {
-                  return a.start < b.start;
-              });
-    const auto metered = recorder.meteredLatencies(window_ns);
+    const auto by_start = recorder.eventsByStart();
+    const auto metered =
+        LatencyRecorder::meteredByStart(by_start, window_ns);
     for (std::size_t i = 0; i < by_start.size(); ++i) {
         csv.beginRow();
         csv.cell(by_start[i].intended);

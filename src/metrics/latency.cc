@@ -77,15 +77,14 @@ LatencyRecorder::spanEnd() const
     return t;
 }
 
+namespace {
+
+/** Synthetic start times for ascending @p starts (the smoothing core
+ *  behind syntheticStarts() and meteredLatencies()). */
 std::vector<double>
-LatencyRecorder::syntheticStarts(double window_ns) const
+smoothStarts(std::vector<double> starts, double window_ns)
 {
-    const std::size_t n = events_.size();
-    std::vector<double> starts;
-    starts.reserve(n);
-    for (const auto &e : events_)
-        starts.push_back(e.start);
-    std::sort(starts.begin(), starts.end());
+    const std::size_t n = starts.size();
     if (n == 0)
         return {};
 
@@ -197,25 +196,54 @@ LatencyRecorder::syntheticStarts(double window_ns) const
     return synth;
 }
 
+} // namespace
+
+std::vector<double>
+LatencyRecorder::syntheticStarts(double window_ns) const
+{
+    std::vector<double> starts;
+    starts.reserve(events_.size());
+    for (const auto &e : events_)
+        starts.push_back(e.start);
+    std::sort(starts.begin(), starts.end());
+    return smoothStarts(std::move(starts), window_ns);
+}
+
+std::vector<LatencyEvent>
+LatencyRecorder::eventsByStart() const
+{
+    std::vector<LatencyEvent> by_start = events_;
+    std::sort(by_start.begin(), by_start.end(),
+              [](const LatencyEvent &a, const LatencyEvent &b) {
+                  return a.start < b.start;
+              });
+    return by_start;
+}
+
 std::vector<double>
 LatencyRecorder::meteredLatencies(double window_ns) const
 {
-    // Pair the i-th start-sorted event with the i-th synthetic start.
-    std::vector<const LatencyEvent *> by_start;
-    by_start.reserve(events_.size());
-    for (const auto &e : events_)
-        by_start.push_back(&e);
-    std::sort(by_start.begin(), by_start.end(),
-              [](const LatencyEvent *a, const LatencyEvent *b) {
-                  return a->start < b->start;
-              });
+    return meteredByStart(eventsByStart(), window_ns);
+}
 
-    const auto synth = syntheticStarts(window_ns);
+std::vector<double>
+LatencyRecorder::meteredByStart(const std::vector<LatencyEvent> &by_start,
+                                double window_ns)
+{
+    // The start order is the smoothing core's input as well, so the
+    // one sort serves both.
+    std::vector<double> starts;
+    starts.reserve(by_start.size());
+    for (const auto &e : by_start)
+        starts.push_back(e.start);
+    const auto synth = smoothStarts(std::move(starts), window_ns);
+
+    // Pair the i-th start-ordered event with the i-th synthetic start.
     std::vector<double> out;
-    out.reserve(events_.size());
+    out.reserve(by_start.size());
     for (std::size_t i = 0; i < by_start.size(); ++i) {
-        const double assumed = std::min(by_start[i]->start, synth[i]);
-        out.push_back(by_start[i]->end - assumed);
+        const double assumed = std::min(by_start[i].start, synth[i]);
+        out.push_back(by_start[i].end - assumed);
     }
     return out;
 }
@@ -232,13 +260,13 @@ paperPercentiles()
 std::vector<std::pair<double, double>>
 percentileCurve(std::vector<double> latencies)
 {
-    std::sort(latencies.begin(), latencies.end());
     std::vector<std::pair<double, double>> curve;
-    for (double p : paperPercentiles()) {
-        if (latencies.empty())
-            break;
-        curve.emplace_back(p, quantileSorted(latencies, p));
-    }
+    if (latencies.empty())
+        return curve;
+    const auto &points = paperPercentiles();
+    const auto values = quantiles(std::move(latencies), points);
+    for (std::size_t i = 0; i < points.size(); ++i)
+        curve.emplace_back(points[i], values[i]);
     return curve;
 }
 

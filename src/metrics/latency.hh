@@ -77,12 +77,25 @@ class LatencyRecorder
      *  (unsorted); elementwise >= simpleLatencies(). */
     std::vector<double> intendedLatencies() const;
 
+    /** The events ordered by service start (one sort; ties keep the
+     *  order std::sort gives, a pure function of the record order). */
+    std::vector<LatencyEvent> eventsByStart() const;
+
     /**
-     * Metered latencies with the given smoothing window (ns).
-     * @p window_ns <= 0 selects full smoothing (uniform synthetic
-     * arrivals over the observed span).
+     * Metered latencies with the given smoothing window (ns), one per
+     * event in eventsByStart() order. @p window_ns <= 0 selects full
+     * smoothing (uniform synthetic arrivals over the observed span).
+     * Sorts the events once: the smoothing reads its start times from
+     * the same start-ordered events it pairs them with.
      */
     std::vector<double> meteredLatencies(double window_ns) const;
+
+    /** meteredLatencies() of events already in eventsByStart() order,
+     *  for callers that need both (the i-th result belongs to
+     *  @p by_start[i]). */
+    static std::vector<double>
+    meteredByStart(const std::vector<LatencyEvent> &by_start,
+                   double window_ns);
 
     /**
      * Synthetic start times for the given window, in ascending order

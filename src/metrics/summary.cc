@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "support/logging.hh"
+#include "support/strfmt.hh"
 
 namespace capo::metrics {
 
@@ -81,11 +83,28 @@ summarize(const std::vector<double> &values)
                    values.size()};
 }
 
+namespace {
+
+/** The quantile contract, checked in every build: an empty sample
+ *  has no quantiles, and a q outside [0, 1] (or NaN) would index
+ *  outside it. */
+void
+checkQuantile(std::size_t n, double q)
+{
+    if (n == 0)
+        throw std::invalid_argument("quantile of empty sample");
+    if (!(q >= 0.0 && q <= 1.0)) {
+        throw std::invalid_argument(
+            support::concat("quantile must be in [0, 1], got ", q));
+    }
+}
+
+} // namespace
+
 double
 quantileSorted(const std::vector<double> &sorted, double q)
 {
-    CAPO_ASSERT(!sorted.empty(), "quantile of empty sample");
-    CAPO_ASSERT(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
+    checkQuantile(sorted.size(), q);
     const double pos = q * static_cast<double>(sorted.size() - 1);
     const std::size_t lo = static_cast<std::size_t>(pos);
     if (lo + 1 >= sorted.size())
@@ -94,11 +113,45 @@ quantileSorted(const std::vector<double> &sorted, double q)
     return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
+std::vector<double>
+quantiles(std::vector<double> values, const std::vector<double> &qs)
+{
+    const std::size_t n = values.size();
+    checkQuantile(n, 0.0);  // an empty sample throws even for no qs
+    std::vector<double> out;
+    out.reserve(qs.size());
+    // Selecting order statistic lo leaves everything before it no
+    // larger and everything after no smaller, so the next (larger) q
+    // selects within [lo, n) only. The interpolation reads the same
+    // two order statistics quantileSorted() would, and equal doubles
+    // have equal bits, so the result is bit-identical to a sort.
+    auto first = values.begin();
+    double prev_q = 0.0;
+    for (double q : qs) {
+        checkQuantile(n, q);
+        if (q < prev_q)
+            throw std::invalid_argument("quantiles must be ascending");
+        prev_q = q;
+        const double pos = q * static_cast<double>(n - 1);
+        const std::size_t lo = static_cast<std::size_t>(pos);
+        const auto at = values.begin() + static_cast<std::ptrdiff_t>(lo);
+        std::nth_element(first, at, values.end());
+        first = at;
+        if (lo + 1 >= n) {
+            out.push_back(*at);  // the maximum, as sorted.back()
+            continue;
+        }
+        const double frac = pos - static_cast<double>(lo);
+        const double next = *std::min_element(at + 1, values.end());
+        out.push_back(*at * (1.0 - frac) + next * frac);
+    }
+    return out;
+}
+
 double
 quantile(std::vector<double> values, double q)
 {
-    std::sort(values.begin(), values.end());
-    return quantileSorted(values, q);
+    return quantiles(std::move(values), {q}).front();
 }
 
 } // namespace capo::metrics

@@ -39,12 +39,21 @@ struct Summary {
 Summary summarize(const std::vector<double> &values);
 
 /**
- * Quantile of a sample via linear interpolation (the values are
- * copied and sorted internally). @p q in [0, 1].
+ * Quantiles of a sample via linear interpolation between order
+ * statistics, one result per entry of @p qs (ascending, each in
+ * [0, 1]). Works by selection on @p values, O(n) per quantile rather
+ * than a sort, and returns the same bits as sorting and calling
+ * quantileSorted(). Throws std::invalid_argument on an empty sample,
+ * a q outside [0, 1] or descending @p qs.
  */
+std::vector<double> quantiles(std::vector<double> values,
+                              const std::vector<double> &qs);
+
+/** One quantile of a sample: quantiles() with a single @p q. */
 double quantile(std::vector<double> values, double q);
 
-/** Quantile of an already ascending-sorted sample (no copy). */
+/** Quantile of an already ascending-sorted sample (no copy); the
+ *  same interpolation and contract as quantiles(). */
 double quantileSorted(const std::vector<double> &sorted, double q);
 
 } // namespace capo::metrics

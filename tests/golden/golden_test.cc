@@ -2,13 +2,14 @@
  * @file
  * Golden-snapshot tests: small reference outputs for the paper's key
  * artifacts — the fig01 suite LBO geomean curve, the tab03 nominal
- * statistics table, and the figA heap timeline — checked in under
- * tests/golden/data/ and diffed against current output at a fixed
- * seed.
+ * statistics table, the figA heap timeline and the latency sweep's
+ * cell quantiles — checked in under tests/golden/data/ and diffed
+ * against current output at a fixed seed.
  *
  * The diff is numeric-tolerant (relative 1e-9) so cosmetic printf
  * differences never fail the suite while any real change in simulated
- * results does. On mismatch the current output lands next to the
+ * results does; the hex-exact latency sweep golden is compared byte
+ * for byte. On mismatch the current output lands next to the
  * golden file as "<name>.actual" for inspection (CI uploads these).
  *
  * Regenerating after an intentional behaviour change:
@@ -29,10 +30,12 @@
 #include <string>
 #include <vector>
 
+#include "harness/latency_experiment.hh"
 #include "harness/lbo_experiment.hh"
 #include "harness/runner.hh"
 #include "metrics/export.hh"
 #include "report/artifact.hh"
+#include "report/codec.hh"
 #include "report/experiment.hh"
 #include "report/table.hh"
 #include "stats/stat_table.hh"
@@ -148,8 +151,11 @@ diffTables(const std::string &expected, const std::string &actual)
     }
 }
 
+/** Diff @p actual against the golden file @p name; @p exact demands
+ *  byte equality instead of the numeric tolerance. */
 void
-expectMatchesGolden(const std::string &name, const std::string &actual)
+expectMatchesGolden(const std::string &name, const std::string &actual,
+                    bool exact = false)
 {
     const auto path = goldenPath(name);
     if (regenerating()) {
@@ -164,7 +170,9 @@ expectMatchesGolden(const std::string &name, const std::string &actual)
                << " — run CAPO_REGEN_GOLDEN=1 ./golden_test and "
                   "commit it (current output saved as .actual)";
     }
-    const auto diff = diffTables(expected, actual);
+    auto diff = diffTables(expected, actual);
+    if (diff.empty() && exact && expected != actual)
+        diff = "bytes differ within the numeric tolerance";
     if (!diff.empty()) {
         writeFile(path + ".actual", actual);
         FAIL() << name << " diverged from golden (" << diff
@@ -245,6 +253,38 @@ TEST(GoldenTest, FigAHeapTimeline)
     std::stringstream out;
     metrics::exportHeapTimelineCsv(run.log, out);
     expectMatchesGolden("figA_heap_timeline.csv", out.str());
+}
+
+// ---------------------------------------------------------------------
+// Latency sweep: runLatencySweep's cell quantiles, hex-exact. Figure
+// goldens go through percentileCurve; this pins the sweep's own
+// summaries (simple, arrival-stamped and metered) to the bit.
+
+TEST(GoldenTest, LatencySweepQuantilesExact)
+{
+    harness::LatencySweepOptions sweep;
+    sweep.factors = {2.0};
+    sweep.collectors = {gc::Algorithm::G1, gc::Algorithm::Zgc};
+    // figA_latency_all's quick preset.
+    sweep.base.invocations = 1;
+    sweep.base.iterations = 2;
+    sweep.base.time_limit_sec = 300;
+    const auto result = harness::runLatencySweep({"cassandra", "jme"}, sweep);
+
+    std::stringstream out;
+    out << "workload,collector,factor,ok,requests,p50,p99,p999,"
+           "intended_p99,metered_p50,metered_p999\n";
+    for (const auto &cell : result.cells) {
+        out << cell.workload << "," << cell.collector << ","
+            << support::general(cell.factor, 12) << ","
+            << (cell.ok ? 1 : 0) << "," << cell.requests.size();
+        for (double v : {cell.p50_ns, cell.p99_ns, cell.p999_ns,
+                         cell.intended_p99_ns, cell.metered_p50_ns,
+                         cell.metered_p999_ns})
+            out << "," << report::encodeDouble(v);
+        out << "\n";
+    }
+    expectMatchesGolden("latency_sweep.csv", out.str(), /*exact=*/true);
 }
 
 // ---------------------------------------------------------------------

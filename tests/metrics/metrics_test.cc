@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "metrics/latency.hh"
 #include "metrics/lbo.hh"
@@ -50,6 +51,30 @@ TEST(SummaryTest, QuantileInterpolates)
     EXPECT_DOUBLE_EQ(quantile(v, 1.0), 40.0);
     EXPECT_DOUBLE_EQ(quantile(v, 0.5), 25.0);
     EXPECT_DOUBLE_EQ(quantile(v, 2.0 / 3.0), 30.0);
+}
+
+TEST(SummaryTest, QuantileOfEmptySampleThrows)
+{
+    // Checked in every build, not only where CAPO_ASSERT is live.
+    EXPECT_THROW(quantile({}, 0.5), std::invalid_argument);
+    EXPECT_THROW(quantileSorted({}, 0.5), std::invalid_argument);
+    EXPECT_THROW(quantiles({}, {0.5}), std::invalid_argument);
+    EXPECT_THROW(quantiles({}, {}), std::invalid_argument);
+    EXPECT_TRUE(percentileCurve({}).empty());
+}
+
+TEST(SummaryTest, QuantileOutsideUnitIntervalThrows)
+{
+    const std::vector<double> v = {1.0, 2.0, 3.0};
+    for (double q : {-0.5, -1e-300, 1.0 + 1e-15, 2.0, std::nan("")}) {
+        EXPECT_THROW(quantile(v, q), std::invalid_argument) << q;
+        EXPECT_THROW(quantileSorted(v, q), std::invalid_argument) << q;
+        EXPECT_THROW(quantiles(v, {0.5, q}), std::invalid_argument) << q;
+    }
+    // The qs of one call ascend.
+    EXPECT_THROW(quantiles(v, {0.9, 0.5}), std::invalid_argument);
+    EXPECT_EQ(quantiles(v, {0.0, 0.5, 0.5, 1.0}),
+              (std::vector<double>{1.0, 2.0, 2.0, 3.0}));
 }
 
 // ---------------------------------------------------------------------

@@ -2,18 +2,23 @@
  * @file
  * Randomized property tests over the methodology metrics: for
  * arbitrary (seeded) inputs, the defining invariants of LBO and
- * metered latency must hold, and the file-based export paths must
- * round-trip.
+ * metered latency must hold, selection-based quantiles and the
+ * single-sort metered latency must equal the sort-based originals bit
+ * for bit, and the file-based export paths must round-trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 
 #include "metrics/export.hh"
 #include "metrics/latency.hh"
 #include "metrics/lbo.hh"
+#include "metrics/request_synth.hh"
+#include "metrics/summary.hh"
 #include "support/rng.hh"
 
 namespace capo::metrics {
@@ -111,6 +116,143 @@ TEST_P(MeteredFuzz, MeteredDominatesSimpleAndLimitsHold)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MeteredFuzz,
                          ::testing::Values(3, 17, 99, 2024));
+
+// ---------------------------------------------------------------------
+// Bitwise equivalence of the selection-based summaries with the
+// sort-based code they replaced.
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** The quantiles every check below asks for (ascending). */
+const std::vector<double> kQs = {0.0, 0.5, 0.99, 0.999, 0.999999, 1.0};
+
+/** Check quantiles()/quantile() against copy + sort + quantileSorted. */
+void
+expectQuantilesMatchSort(const std::vector<double> &values)
+{
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const auto selected = quantiles(values, kQs);
+    ASSERT_EQ(selected.size(), kQs.size());
+    for (std::size_t i = 0; i < kQs.size(); ++i) {
+        const double want = quantileSorted(sorted, kQs[i]);
+        EXPECT_TRUE(sameBits(selected[i], want))
+            << "n=" << values.size() << " q=" << kQs[i] << ": "
+            << selected[i] << " vs " << want;
+        EXPECT_TRUE(sameBits(quantile(values, kQs[i]), want))
+            << "n=" << values.size() << " q=" << kQs[i];
+    }
+}
+
+class QuantileFuzz : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(QuantileFuzz, SelectionMatchesSortBitForBit)
+{
+    support::Rng rng(GetParam());
+    for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                          std::size_t{7}, std::size_t{1000},
+                          std::size_t{12345}}) {
+        std::vector<double> heavy, ties, ascending, descending;
+        for (std::size_t i = 0; i < n; ++i) {
+            heavy.push_back(rng.exponential(1e6) *
+                            (rng.uniform() < 0.01 ? 1e3 : 1.0));
+            // A handful of distinct values: ties at every quantile.
+            ties.push_back(static_cast<double>(rng.uniformInt(5)) * 0.1);
+            ascending.push_back(static_cast<double>(i) * 1.5);
+        }
+        descending.assign(ascending.rbegin(), ascending.rend());
+        expectQuantilesMatchSort(heavy);
+        expectQuantilesMatchSort(ties);
+        expectQuantilesMatchSort(ascending);
+        expectQuantilesMatchSort(descending);
+        expectQuantilesMatchSort(std::vector<double>(n, 42.25));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, QuantileFuzz,
+                         ::testing::Values(5, 11, 77, 4096));
+
+TEST(QuantileSelectionTest, PercentileCurveMatchesSort)
+{
+    support::Rng rng(8);
+    std::vector<double> values;
+    for (int i = 0; i < 5000; ++i)
+        values.push_back(rng.exponential(2e5));
+    std::vector<double> sorted = values;
+    std::sort(sorted.begin(), sorted.end());
+    const auto curve = percentileCurve(values);
+    ASSERT_EQ(curve.size(), paperPercentiles().size());
+    for (const auto &[p, ns] : curve)
+        EXPECT_TRUE(sameBits(ns, quantileSorted(sorted, p))) << p;
+}
+
+/** The pre-selection meteredLatencies(): a pointer sort for the
+ *  pairing plus syntheticStarts()' own sort of the start times. */
+std::vector<double>
+referenceMetered(const LatencyRecorder &rec, double window_ns)
+{
+    std::vector<const LatencyEvent *> by_start;
+    for (const auto &e : rec.events())
+        by_start.push_back(&e);
+    std::sort(by_start.begin(), by_start.end(),
+              [](const LatencyEvent *a, const LatencyEvent *b) {
+                  return a->start < b->start;
+              });
+    const auto synth = rec.syntheticStarts(window_ns);
+    std::vector<double> out;
+    for (std::size_t i = 0; i < by_start.size(); ++i) {
+        const double assumed = std::min(by_start[i]->start, synth[i]);
+        out.push_back(by_start[i]->end - assumed);
+    }
+    return out;
+}
+
+void
+expectMeteredMatchesReference(const LatencyRecorder &rec)
+{
+    for (double window : {0.0, 1e-9, 10.0, 1000.0, 50000.0, 5e6}) {
+        const auto want = referenceMetered(rec, window);
+        const auto got = rec.meteredLatencies(window);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(sameBits(got[i], want[i]))
+                << "window " << window << " event " << i << ": "
+                << got[i] << " vs " << want[i];
+        }
+    }
+}
+
+TEST_P(QuantileFuzz, MeteredMatchesTwoSortReferenceWithTiedStarts)
+{
+    support::Rng rng(GetParam());
+    // Starts drawn from a few values, ends all distinct: a tie paired
+    // with the wrong end would change the output.
+    LatencyRecorder tied;
+    for (int i = 0; i < 3000; ++i) {
+        const double start =
+            static_cast<double>(rng.uniformInt(40)) * 250.0;
+        tied.record(start, start + rng.exponential(300.0));
+    }
+    expectMeteredMatchesReference(tied);
+
+    // synthesizeRequests starts every lane at window_begin.
+    const std::vector<sim::RateSegment> timeline = {
+        {0.0, 4e8, 1.0}, {4e8, 4.5e8, 0.0}, {4.5e8, 1e9, 0.7}};
+    workloads::RequestProfile profile;
+    profile.enabled = true;
+    profile.count = 4000;
+    profile.lanes = 16;
+    const auto synthesized = synthesizeRequests(
+        timeline, 1.0, profile, 0.0, 1e9,
+        support::Rng(static_cast<std::uint64_t>(GetParam())));
+    expectMeteredMatchesReference(synthesized);
+}
 
 TEST(ExportFileTest, WriteCsvFileRoundTrips)
 {
