@@ -72,6 +72,22 @@ main(int argc, char **argv)
                  "(0 = unbounded)");
     flags.parse(argc, argv);
 
+    // Sizes become size_t and the port an int: a negative value would
+    // wrap (--queue -1 turns admission control off, --workers -1 spawns
+    // threads until creation fails), so refuse it before binding.
+    for (const char *name :
+         {"queue", "workers", "cache-max", "cache-max-bytes"}) {
+        if (flags.getInt(name) < 0) {
+            std::cerr << "capo-serve: --" << name
+                      << " must not be negative\n";
+            return 2;
+        }
+    }
+    if (flags.getInt("port") < 0 || flags.getInt("port") > 65535) {
+        std::cerr << "capo-serve: --port must be in 0-65535\n";
+        return 2;
+    }
+
     serve::ServerOptions options;
     options.socket_path = flags.getString("socket");
     options.tcp = flags.getBool("tcp");

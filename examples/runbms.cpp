@@ -291,7 +291,7 @@ runOpenLoop(const harness::ExperimentPlan &plan, bool want_csv,
                        support::TextTable::Align::Right,
                        support::TextTable::Align::Right});
         for (std::size_t c = 0; c < plan.collectors.size(); ++c) {
-            for (const auto &mode : plan.pacing_modes) {
+            for (std::size_t m = 0; m < plan.pacing_modes.size(); ++m) {
                 for (double factor : plan.load_factors) {
                     const auto &cell = result.cells[index++];
                     if (!cell.ok) {

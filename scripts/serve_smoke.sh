@@ -11,6 +11,8 @@
 #     repeated configuration answers "(cached)" without re-running;
 #  6. graceful client-requested shutdown exits 0 with cache hits > 0.
 #
+# Before any of that, negative sizes must be refused with exit 2.
+#
 # This is the shell-level proof of what tests/serve/serve_test.cc
 # shows in-process: serving is crash-safe, cached replay is real, and
 # the daemon drains cleanly.
@@ -40,12 +42,14 @@ sock="$work/capo.sock"
 art="$work/artifacts"
 experiment="tab01_metric_catalog"
 
-wait_for_socket() {
+# capo-serve prints its warm-load line once it is bound and serving. The
+# socket file alone proves nothing: a kill -9'd server leaves its own.
+wait_for_server() { # log
     for _ in $(seq 1 100); do
-        [[ -S "$sock" ]] && return 0
+        grep -q 'warm-loaded' "$1" 2>/dev/null && return 0
         sleep 0.1
     done
-    echo "serve_smoke: server never bound $sock" >&2
+    echo "serve_smoke: server never became ready (see $1)" >&2
     return 1
 }
 
@@ -54,11 +58,23 @@ run_once() { # stream seed
         -- --invocations 1 --iterations 1 --seed "$2"
 }
 
+echo "== negative sizes exit 2 before binding"
+for flag in --workers --queue; do
+    code=0
+    timeout 10 "$serve" --socket "$sock" "$flag" -1 \
+        > "$work/bad_size.log" 2>&1 || code=$?
+    if ((code != 2)); then
+        echo "serve_smoke: capo-serve $flag -1 exited $code, want 2" >&2
+        cat "$work/bad_size.log" >&2
+        exit 1
+    fi
+done
+
 echo "== start capo-serve (on-disk cache)"
 "$serve" --socket "$sock" --workers 2 --queue 32 \
     --artifacts "$art" > "$work/serve1.log" 2>&1 &
 server_pid=$!
-wait_for_socket
+wait_for_server "$work/serve1.log"
 
 echo "== 8 concurrent client loops (mixed cached/uncached)"
 pids=()
@@ -116,7 +132,7 @@ echo "== restart: warm cache serves completed work"
 "$serve" --socket "$sock" --workers 2 \
     --artifacts "$art" > "$work/serve2.log" 2>&1 &
 server_pid=$!
-wait_for_socket
+wait_for_server "$work/serve2.log"
 warm="$(grep -o 'warm-loaded [0-9]*' "$work/serve2.log" | awk '{print $2}')"
 warm="${warm:-0}"
 echo "   warm-loaded $warm entries"

@@ -109,20 +109,6 @@ struct FaultPlan
 bool parseFaultSpec(const std::string &spec, FaultPlan &plan,
                     std::string &error);
 
-/**
- * Seed salt for one backend of a serve fleet: a pure function of the
- * fleet's plan seed and the backend's id string, so each backend draws
- * an independent conn_io schedule from one plan — "kill backend b2"
- * is reproducible from (seed, "b2") alone, at any worker count and
- * any balancing strategy.
- */
-inline std::uint64_t
-backendSeed(std::uint64_t plan_seed, const std::string &backend_id)
-{
-    return exec::seedCombine(exec::mix64(plan_seed ^ 0xf1ee7b5eULL),
-                             exec::hashString(backend_id));
-}
-
 /** One injected fault, recorded for quarantine reports and tests. */
 struct InjectedFault
 {

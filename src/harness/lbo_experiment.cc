@@ -26,8 +26,8 @@ struct SweepCell
     bool restored = false;
     bool ok = false;
     std::uint64_t dispatches = 0;
-    metrics::RunCost cost;
-    std::vector<CellError> errors;
+    metrics::RunCost cost{};
+    std::vector<CellError> errors{};
     /** @} */
 };
 

@@ -16,27 +16,6 @@ namespace capo::obs {
 
 namespace {
 
-/** Parse "1,2,4" into a jobs list; false on junk. */
-bool
-parseJobsList(const std::string &text, std::vector<int> &out)
-{
-    std::string token;
-    for (std::size_t i = 0; i <= text.size(); ++i) {
-        if (i < text.size() && text[i] != ',') {
-            token += text[i];
-            continue;
-        }
-        if (token.empty())
-            return false;
-        const int jobs = std::atoi(token.c_str());
-        if (jobs < 1)
-            return false;
-        out.push_back(jobs);
-        token.clear();
-    }
-    return !out.empty();
-}
-
 /** "mean ± ci95" with enough digits to be comparable by eye. */
 std::string
 statText(const Stat &stat)
@@ -127,14 +106,6 @@ parseCliArgs(int argc, char **argv, bool wants_experiment,
                 error = "--repeats must be at least 2";
                 return false;
             }
-        } else if (arg == "--scaling") {
-            const char *v = value("--scaling");
-            if (v == nullptr)
-                return false;
-            if (!parseJobsList(v, out.recorder.scaling_jobs)) {
-                error = "--scaling expects e.g. 1,2,4";
-                return false;
-            }
         } else if (arg == "--out") {
             const char *v = value("--out");
             if (v == nullptr)
@@ -200,8 +171,8 @@ snapshotMain(int argc, char **argv)
     if (!parseCliArgs(argc, argv, true, cli, error)) {
         std::cerr << "capo-bench snapshot: " << error << "\n"
                   << "usage: capo-bench snapshot [--label L] "
-                     "[--repeats N] [--scaling 1,2,4] [--out DIR] "
-                     "[--no-overhead] [--verbose] <experiment> "
+                     "[--repeats N] [--out DIR] [--no-overhead] "
+                     "[--verbose] <experiment> "
                      "[-- <experiment args>]\n";
         return 2;
     }
@@ -259,14 +230,9 @@ compareMain(int argc, char **argv)
         return 2;
 
     // Re-measure under the baseline's own recipe so the comparison is
-    // config-identical by construction — including the scaling curve's
-    // jobs values, so every baseline scaling point gets a candidate.
+    // config-identical by construction.
     cli.recorder.label = baseline.name;
     cli.recorder.measure_overhead = false;
-    if (cli.recorder.scaling_jobs.empty()) {
-        for (const auto &point : baseline.scaling)
-            cli.recorder.scaling_jobs.push_back(point.jobs);
-    }
     std::cerr << "re-measuring " << baseline.experiment << " ("
               << cli.recorder.repeats << " repeats) against "
               << cli.baseline_path << "...\n";

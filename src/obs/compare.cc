@@ -42,8 +42,8 @@ scaleStat(const Stat &stat, double factor)
     return out;
 }
 
-/** A single-sample stat (zero CI) for point quantities like a scaling
- *  speedup or a histogram quantile. */
+/** A single-sample stat (zero CI) for a point quantity such as a
+ *  histogram quantile. */
 Stat
 pointStat(double value)
 {
@@ -100,10 +100,10 @@ compareSnapshots(const BenchSnapshot &baseline,
 
     // Gating metrics are machine-relative so a committed baseline
     // survives a hardware change: normalized cost (elapsed over the
-    // calibration spin), the normalized sim-event floor (events per
+    // calibration spin) and the normalized sim-event floor (events per
     // calibration unit — the simulator's per-event cost with machine
-    // speed cancelled), and the --jobs scaling curve (a pure shape).
-    // Raw throughput stays advisory context for the human.
+    // speed cancelled). Raw throughput stays advisory context for the
+    // human.
     report.metrics.push_back(judge(
         "normalized_cost", baseline.normalized_cost,
         candidate.normalized_cost, threshold, true, true));
@@ -125,22 +125,6 @@ compareSnapshots(const BenchSnapshot &baseline,
     report.metrics.push_back(judge(
         "sim_events_per_sec", baseline.sim_events_per_sec,
         candidate.sim_events_per_sec, threshold, false, false));
-
-    // Scaling curve: each measured jobs > 1 point's speedup must hold
-    // up (one sample per side, so only the threshold separates them;
-    // the serial point is the curve's own normalizer and never judged).
-    for (const auto &b : baseline.scaling) {
-        if (b.jobs <= 1)
-            continue;
-        for (const auto &c : candidate.scaling) {
-            if (c.jobs != b.jobs)
-                continue;
-            report.metrics.push_back(
-                judge("scaling@" + std::to_string(b.jobs),
-                      pointStat(b.speedup), pointStat(c.speedup),
-                      threshold, false, true));
-        }
-    }
 
     // Advisory hot-histogram tails: a p99 blow-up in an allocation
     // stall or cell setup is exactly the latency regression a flat

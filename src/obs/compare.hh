@@ -70,11 +70,11 @@ struct ComparisonReport
 constexpr double kDefaultThreshold = 0.25;
 
 /**
- * Compare @p candidate against @p baseline. Three machine-relative
- * quantities gate: normalized cost, the normalized sim-event floor
- * (events/s x calibration seconds), and every baseline scaling point
- * at jobs > 1. Raw throughput and the watched hot-histogram p99 rows
- * (alloc stalls, cell setup; bar at 4x threshold) are advisory.
+ * Compare @p candidate against @p baseline. Two machine-relative
+ * quantities gate: normalized cost and the normalized sim-event floor
+ * (events/s x calibration seconds). Raw throughput and the watched
+ * hot-histogram p99 rows (alloc stalls, cell setup; bar at 4x
+ * threshold) are advisory.
  */
 ComparisonReport compareSnapshots(const BenchSnapshot &baseline,
                                   const BenchSnapshot &candidate,

@@ -104,7 +104,7 @@ calibrationSeconds()
     volatile std::uint64_t guard = 0;
     for (int i = 0; i < 3; ++i) {
         const double start = monotonicNow();
-        guard += calibrationSpinOnce();
+        guard = guard + calibrationSpinOnce();
         const double elapsed = monotonicNow() - start;
         if (i == 0 || elapsed < best)
             best = elapsed;
@@ -196,25 +196,6 @@ recordExperiment(const report::Experiment &experiment,
         stat.p50 = hist.quantile(0.5);
         stat.p99 = hist.quantile(0.99);
         snapshot.hot.push_back(std::move(stat));
-    }
-
-    for (const int jobs : options.scaling_jobs) {
-        std::vector<std::string> scaled = args;
-        scaled.push_back("--jobs");
-        scaled.push_back(std::to_string(jobs));
-        ScalePoint point;
-        point.jobs = jobs;
-        point.elapsed_sec =
-            timedRun(experiment, scaled, handicap_sec, nullptr);
-        point.speedup =
-            snapshot.scaling.empty()
-                ? 1.0
-                : snapshot.scaling.front().elapsed_sec /
-                      point.elapsed_sec;
-        snapshot.scaling.push_back(point);
-        if (options.verbose)
-            std::cerr << "  scaling --jobs " << jobs << ": "
-                      << point.elapsed_sec << " s\n";
     }
 
     if (options.measure_overhead) {

@@ -8,8 +8,8 @@
  * body hand-rolling its own timing report, any registered experiment
  * can be measured — repeats with confidence intervals, a calibration
  * spin for machine-relative cost, the hot tier's cells/invocations/
- * sim-events deltas for throughput, an optional --jobs scaling curve,
- * and the measured cost of a disabled hot-metric record.
+ * sim-events deltas for throughput, and the measured cost of a
+ * disabled hot-metric record.
  *
  * Test hook: `CAPO_PERF_GATE_HANDICAP_MS` (or
  * RecorderOptions::handicap_ms) injects a sleep into every timed run,
@@ -39,9 +39,6 @@ struct RecorderOptions
 
     /** Timed repetitions (the sample behind the CIs). */
     int repeats = 5;
-
-    /** Jobs values for the scaling curve (empty = skip). */
-    std::vector<int> scaling_jobs;
 
     /** Measure the per-record cost of the hot tier (off/on). */
     bool measure_overhead = true;

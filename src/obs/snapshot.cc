@@ -119,14 +119,6 @@ renderSnapshotJson(const BenchSnapshot &snapshot)
              snapshot.invocations_per_sec, true);
     emitStat(out, "  ", "sim_events_per_sec",
              snapshot.sim_events_per_sec, true);
-    out << "  \"scaling\": [";
-    for (std::size_t i = 0; i < snapshot.scaling.size(); ++i) {
-        const auto &point = snapshot.scaling[i];
-        out << (i > 0 ? ", " : "") << "{\"jobs\": " << point.jobs
-            << ", \"elapsed_sec\": " << numberText(point.elapsed_sec)
-            << ", \"speedup\": " << numberText(point.speedup) << "}";
-    }
-    out << "],\n";
     out << "  \"hot_disabled_ns\": "
         << numberText(snapshot.hot_disabled_ns) << ",\n";
     out << "  \"hot_enabled_ns\": "
@@ -196,13 +188,6 @@ parseSnapshot(const std::string &text, BenchSnapshot &out,
     out.cells_per_sec = parseStat(root.at("cells_per_sec"));
     out.invocations_per_sec = parseStat(root.at("invocations_per_sec"));
     out.sim_events_per_sec = parseStat(root.at("sim_events_per_sec"));
-    for (const auto &point : root.at("scaling").items) {
-        ScalePoint scale;
-        scale.jobs = static_cast<int>(point.num("jobs", 1));
-        scale.elapsed_sec = point.num("elapsed_sec");
-        scale.speedup = point.num("speedup", 1.0);
-        out.scaling.push_back(scale);
-    }
     out.hot_disabled_ns = root.num("hot_disabled_ns");
     out.hot_enabled_ns = root.num("hot_enabled_ns");
     for (const auto &entry : root.at("hot").items) {

@@ -5,14 +5,13 @@
  * A `BenchSnapshot` is one machine-readable record of how fast a
  * registered experiment ran: wall time and throughput (cells/s,
  * invocations/s, sim-events/s) with the paper's own 95 % confidence
- * intervals, a scaling curve over --jobs, hot-tier histogram
- * quantiles, the measured overhead of a disabled hot-metric record,
- * and a *calibration-normalized cost* — elapsed time divided by the
- * time of a fixed deterministic spin measured on the same machine at
- * the same moment. Raw throughput is machine-bound; the normalized
- * cost mostly cancels machine speed, which is what lets a checked-in
- * `BENCH_<name>.json` baseline written on one host gate regressions
- * measured on another.
+ * intervals, hot-tier histogram quantiles, the measured overhead of a
+ * disabled hot-metric record, and a *calibration-normalized cost* —
+ * elapsed time divided by the time of a fixed deterministic spin
+ * measured on the same machine at the same moment. Raw throughput is
+ * machine-bound; the normalized cost mostly cancels machine speed,
+ * which is what lets a checked-in `BENCH_<name>.json` baseline written
+ * on one host gate regressions measured on another.
  *
  * Snapshots are written through the ArtifactSink choke point (like
  * every other artifact) and parsed back with the strict JSON reader;
@@ -45,14 +44,6 @@ struct Stat
     {
         return upper() < other.lower() || other.upper() < lower();
     }
-};
-
-/** One point of the --jobs scaling curve. */
-struct ScalePoint
-{
-    int jobs = 1;
-    double elapsed_sec = 0.0;
-    double speedup = 1.0;  ///< vs the curve's first (serial) point.
 };
 
 /** Quantile summary of one hot-tier histogram. */
@@ -88,8 +79,6 @@ struct BenchSnapshot
     Stat cells_per_sec;     ///< Sweep cells completed per second.
     Stat invocations_per_sec;
     Stat sim_events_per_sec;
-
-    std::vector<ScalePoint> scaling;
 
     /** Nanoseconds per hot-metric record with the gate off / on. */
     double hot_disabled_ns = 0.0;

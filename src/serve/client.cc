@@ -98,16 +98,6 @@ Client::run(const std::string &experiment,
 }
 
 bool
-Client::runBatch(const std::vector<Request> &cells,
-                 Response &response, std::string &error)
-{
-    Request request;
-    request.kind = RequestKind::Batch;
-    request.cells = cells;
-    return roundTrip(std::move(request), response, error);
-}
-
-bool
 Client::health(Response &response, std::string &error)
 {
     Request request;

@@ -76,17 +76,6 @@ class Client
              const std::vector<std::string> &args, double deadline_ms,
              Response &response, std::string &error);
 
-    /**
-     * Submit many run cells in one BATCH frame and wait for the
-     * combined reply. Each cell travels verbatim — including its own
-     * (stream, sequence, attempt) identity, which the caller owns so a
-     * batched cell draws the same fault schedule as the same cell sent
-     * alone. On success decode the parts out of response.body with
-     * decodeBatchBody.
-     */
-    bool runBatch(const std::vector<Request> &cells,
-                  Response &response, std::string &error);
-
     /** Fetch the health snapshot ("HEALTHY"/"DRAINING" + stats). */
     bool health(Response &response, std::string &error);
 

@@ -13,7 +13,6 @@ namespace {
 const char *const kRequestMagic = "capo-serve-req v1";
 const char *const kResponseMagic = "capo-serve-rsp v1";
 const char *const kStoreMagic = "store v1";
-const char *const kBatchMagic = "capo-batch v1";
 
 const char *
 kindName(RequestKind kind)
@@ -21,8 +20,6 @@ kindName(RequestKind kind)
     switch (kind) {
       case RequestKind::Run:
         return "run";
-      case RequestKind::Batch:
-        return "batch";
       case RequestKind::Health:
         return "health";
       case RequestKind::Shutdown:
@@ -36,8 +33,6 @@ kindFromName(const std::string &name, RequestKind &kind)
 {
     if (name == "run")
         kind = RequestKind::Run;
-    else if (name == "batch")
-        kind = RequestKind::Batch;
     else if (name == "health")
         kind = RequestKind::Health;
     else if (name == "shutdown")
@@ -154,18 +149,6 @@ encodeRequest(const Request &request)
         out += report::encodeRecord(
             {"deadline", report::encodeDouble(request.deadline_ms)});
     }
-    if (request.kind == RequestKind::Batch) {
-        out += report::encodeRecord(
-            {"cells", std::to_string(request.cells.size())});
-        for (const auto &cell : request.cells) {
-            // Embedded requests travel as byte-counted blobs so the
-            // batch layer never constrains the per-cell codec.
-            const std::string raw = encodeRequest(cell);
-            out += report::encodeRecord(
-                {"cell", std::to_string(raw.size())});
-            out += raw;
-        }
-    }
     out += report::encodeRecord(
         {"stream", std::to_string(request.stream)});
     out += report::encodeRecord(
@@ -194,8 +177,6 @@ decodeRequest(const std::string &payload, Request &request,
         error = "unknown request kind";
         return false;
     }
-    std::uint64_t declared_cells = 0;
-    bool have_cells = false;
     while (nextLine(payload, pos, line)) {
         const auto fields = report::decodeRecord(line);
         if (fields.size() != 2) {
@@ -228,33 +209,6 @@ decodeRequest(const std::string &payload, Request &request,
                 error = "bad attempt";
                 return false;
             }
-        } else if (tag == "cells") {
-            if (decoded.kind != RequestKind::Batch ||
-                !parseU64(value, declared_cells)) {
-                error = "bad cells record";
-                return false;
-            }
-            have_cells = true;
-        } else if (tag == "cell") {
-            std::uint64_t nbytes = 0;
-            if (decoded.kind != RequestKind::Batch ||
-                !parseU64(value, nbytes) ||
-                nbytes > payload.size() - pos) {
-                error = "bad cell record";
-                return false;
-            }
-            Request cell;
-            if (!decodeRequest(payload.substr(pos, nbytes), cell,
-                               error)) {
-                error = "embedded cell: " + error;
-                return false;
-            }
-            if (cell.kind != RequestKind::Run) {
-                error = "batch cell is not a run request";
-                return false;
-            }
-            pos += nbytes;
-            decoded.cells.push_back(std::move(cell));
         } else {
             error = "unknown request tag '" + tag + "'";
             return false;
@@ -263,11 +217,6 @@ decodeRequest(const std::string &payload, Request &request,
     if (decoded.kind == RequestKind::Run &&
         decoded.experiment.empty()) {
         error = "run request without an experiment name";
-        return false;
-    }
-    if (decoded.kind == RequestKind::Batch &&
-        (!have_cells || decoded.cells.size() != declared_cells)) {
-        error = "batch cell count mismatch";
         return false;
     }
     request = std::move(decoded);
@@ -427,65 +376,6 @@ decodeStore(const std::string &payload, report::ResultStore &store,
             }
         }
     }
-    return true;
-}
-
-std::string
-encodeBatchBody(const std::vector<Response> &parts)
-{
-    std::string out = std::string(kBatchMagic) + " " +
-                      std::to_string(parts.size()) + "\n";
-    for (const auto &part : parts) {
-        const std::string raw = encodeResponse(part);
-        out += report::encodeRecord(
-            {"part", std::to_string(raw.size())});
-        out += raw;
-    }
-    return out;
-}
-
-bool
-decodeBatchBody(const std::string &body, std::vector<Response> &parts,
-                std::string &error)
-{
-    std::size_t pos = 0;
-    std::string line;
-    if (!nextLine(body, pos, line) ||
-        line.rfind(kBatchMagic, 0) != 0 ||
-        line.size() < std::string(kBatchMagic).size() + 2) {
-        error = "bad batch body magic";
-        return false;
-    }
-    std::uint64_t count = 0;
-    if (!parseU64(line.substr(std::string(kBatchMagic).size() + 1),
-                  count)) {
-        error = "bad batch part count";
-        return false;
-    }
-    std::vector<Response> decoded;
-    decoded.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-        if (!nextLine(body, pos, line)) {
-            error = "batch body truncated before part header";
-            return false;
-        }
-        const auto fields = report::decodeRecord(line);
-        std::uint64_t nbytes = 0;
-        if (fields.size() != 2 || fields[0] != "part" ||
-            !parseU64(fields[1], nbytes) ||
-            nbytes > body.size() - pos) {
-            error = "bad batch part record '" + line + "'";
-            return false;
-        }
-        Response part;
-        if (!decodeResponse(body.substr(pos, nbytes), part, error)) {
-            error = "embedded part: " + error;
-            return false;
-        }
-        pos += nbytes;
-        decoded.push_back(std::move(part));
-    }
-    parts = std::move(decoded);
     return true;
 }
 

@@ -19,10 +19,6 @@
  *              exp \t <name>            (run only)
  *              arg \t <value>           (run only, repeated, in order)
  *              deadline \t <bits>       (run only; 0-bits = none)
- *              cells \t <count>         (batch only)
- *              cell \t <nbytes>         (batch only, repeated; followed
- *                                        by nbytes raw of an embedded
- *                                        run request)
  *              stream \t <n>            (fault stream id, client-chosen)
  *              seq \t <n>               (request index within stream)
  *              attempt \t <n>           (client resend attempt)
@@ -36,17 +32,6 @@
  *              table \t <name> \t <ncols> \t <nrows>
  *              col \t <name> \t <type>      (x ncols)
  *              row \t <field>...            (x nrows, exact codec)
- *
- *   batch body capo-batch v1 <count>
- *              part \t <nbytes>             (x count; followed by
- *                                            nbytes raw of an encoded
- *                                            response)
- *
- * A BATCH request carries many run cells in one frame; the response is
- * an ordinary Ok response whose body is the batch-body codec above —
- * one embedded response per cell, in cell order. Embedded requests and
- * responses travel as byte-counted blobs, so the batch layer never
- * re-parses (or constrains) what the per-cell codec emits.
  */
 
 #ifndef CAPO_SERVE_PROTOCOL_HH
@@ -70,7 +55,7 @@ std::uint32_t decodeFrameLength(const char bytes[4]);
 /** @} */
 
 /** What a client asks of the server. */
-enum class RequestKind : std::uint8_t { Run, Batch, Health, Shutdown };
+enum class RequestKind : std::uint8_t { Run, Health, Shutdown };
 
 /** Outcome class of one request. */
 enum class Status : std::uint8_t {
@@ -111,12 +96,6 @@ struct Request
     /** Client resend attempt (bumped on reconnect-and-retry so a
      *  retried request draws a fresh fault schedule). */
     std::uint64_t attempt = 0;
-
-    /** Embedded run requests (Batch only). Each must be a Run; the
-     *  per-cell stream/seq/attempt fields are carried verbatim so the
-     *  fault schedule of a batched cell is identical to the same cell
-     *  sent alone. */
-    std::vector<Request> cells;
 };
 
 /** One server response. */
@@ -144,14 +123,6 @@ bool decodeResponse(const std::string &payload, Response &response,
 std::string encodeStore(const report::ResultStore &store);
 bool decodeStore(const std::string &payload, report::ResultStore &store,
                  std::string &error);
-/** @} */
-
-/** @{ Batch response body codec: one embedded response per cell, in
- *  cell order, as byte-counted blobs (binary-safe — cached bodies are
- *  replayed verbatim, bytes and all). */
-std::string encodeBatchBody(const std::vector<Response> &parts);
-bool decodeBatchBody(const std::string &body,
-                     std::vector<Response> &parts, std::string &error);
 /** @} */
 
 /**

@@ -353,22 +353,6 @@ ExperimentServer::connectionLoop(int fd)
             continue;
         }
 
-        if (request.kind == RequestKind::Batch) {
-            // Cells run in cell order through the full per-cell path;
-            // the one response frame carries every part, so the
-            // conn_io schedule of the batch applies once.
-            std::vector<Response> parts;
-            parts.reserve(request.cells.size());
-            for (const auto &cell : request.cells)
-                parts.push_back(runCell(cell));
-            Response response;
-            response.status = Status::Ok;
-            response.body = encodeBatchBody(parts);
-            if (!writeResponse(fd, response, injector))
-                break;
-            continue;
-        }
-
         if (!writeResponse(fd, runCell(request), injector))
             break;
     }

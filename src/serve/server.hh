@@ -23,18 +23,8 @@
  * (std::cout) and the process-wide exec::Pool, and each body already
  * parallelizes its own sweep cells across that pool — serving-level
  * concurrency comes from admission, caching and connection handling,
- * not from interleaving two simulations' output. The mutex is global
- * rather than per-server so a fleet of in-process backends (the test
- * topology) contends exactly like one server. Responses for cached
+ * not from interleaving two simulations' output. Responses for cached
  * keys never take the run mutex at all.
- *
- * A BATCH request carries many run cells in one frame; each cell runs
- * the full per-cell path (cache lookup, admission, worker execution)
- * in cell order, and the combined reply is one response whose body
- * holds the per-cell responses. The connection-level conn_io schedule
- * applies to the batch frame as a whole (one read opportunity, one
- * response write), while each cell keeps its own (stream, seq,
- * attempt) identity for accounting upstream.
  *
  * Determinism: the conn_io fault schedule for a request is a pure
  * function of (fault plan seed, client stream id, request sequence,
@@ -184,9 +174,8 @@ class ExperimentServer
     /** Worker side: pop tickets, run experiments, resolve. */
     void workerLoop();
 
-    /** Full run-cell path for one Run request: cache lookup, admit,
-     *  await the worker's response (shared by Run and each BATCH
-     *  cell). Never writes to the socket. */
+    /** Full path for one Run request: cache lookup, admit, await the
+     *  worker's response. Never writes to the socket. */
     Response runCell(const Request &request);
 
     /** Run one registered experiment and encode its store. */

@@ -60,8 +60,6 @@ namespace capo::trace::hot {
       1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64)                            \
     M(AllocStallNs, "runtime.alloc.stall_ns",                              \
       1e3, 1e4, 1e5, 1e6, 5e6, 1e7, 5e7, 1e8, 5e8, 1e9, 5e9, 1e10)        \
-    M(FleetCellAttempts, "fleet.cell.attempts",                            \
-      1, 2, 3, 4, 5, 6, 8, 10, 12, 16, 24, 32)                             \
     M(GcPauseNs, "gc.pause.wall_ns",                                       \
       1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5, 1e6, 2.5e6, 5e6, 1e7, 5e7, 1e8)
 
@@ -73,8 +71,6 @@ namespace capo::trace::hot {
     M(SweepCellsCompleted, "harness.sweep_cells")                          \
     M(PoolSteals, "exec.pool.steals")                                      \
     M(AllocStalls, "runtime.alloc.stalls")                                 \
-    M(FleetCells, "fleet.cells")                                           \
-    M(FleetFailovers, "fleet.failovers")                                   \
     M(GcPauses, "gc.pauses")
 
 #define M(NAME, ...) NAME,

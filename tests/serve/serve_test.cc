@@ -181,6 +181,15 @@ rawRoundTrip(const std::string &socket_path, const Request &request,
     return ok;
 }
 
+/** A request of kind "batch", an opcode the protocol no longer has,
+ *  exactly as its encoder wrote one with zero cells. It must fail to
+ *  decode as an unknown kind, not be half-understood. */
+const char *const kRetiredBatchPayload = "capo-serve-req v1 batch\n"
+                                         "cells\t0\n"
+                                         "stream\t0\n"
+                                         "seq\t0\n"
+                                         "attempt\t0\n";
+
 Request
 runRequest(const std::string &experiment,
            const std::vector<std::string> &args, double deadline_ms,
@@ -318,6 +327,8 @@ TEST(ServeProtocolTest, DecodeRejectsMalformedPayloads)
     EXPECT_FALSE(decodeRequest("garbage", request, error));
     EXPECT_FALSE(decodeRequest("capo-serve-rsp v1 OK 0", request,
                                error));
+    EXPECT_FALSE(decodeRequest(kRetiredBatchPayload, request, error));
+    EXPECT_EQ(error, "unknown request kind");
     Response response;
     EXPECT_FALSE(decodeResponse("", response, error));
     EXPECT_FALSE(decodeResponse("capo-serve-req v1 run", response,
@@ -406,69 +417,6 @@ TEST(ServeProtocolTest, RequestKeyCoversResultsShapingFieldsOnly)
 
     EXPECT_EQ(cacheFileName(0x0123456789abcdefull),
               "0123456789abcdef.capores");
-}
-
-TEST(ServeProtocolTest, BatchRequestRoundTripsItsCells)
-{
-    Request batch;
-    batch.kind = RequestKind::Batch;
-    batch.stream = 0x1234;
-    batch.deadline_ms = 80.0;
-    for (int i = 0; i < 3; ++i) {
-        Request cell = runRequest(
-            "serve_test_echo",
-            {"--rows", std::to_string(i + 1), "pos arg"}, 5.0,
-            100 + static_cast<std::uint64_t>(i), 0);
-        cell.attempt = i;
-        batch.cells.push_back(std::move(cell));
-    }
-
-    Request back;
-    std::string error;
-    ASSERT_TRUE(decodeRequest(encodeRequest(batch), back, error))
-        << error;
-    EXPECT_EQ(back.kind, RequestKind::Batch);
-    EXPECT_EQ(back.stream, batch.stream);
-    ASSERT_EQ(back.cells.size(), 3u);
-    for (std::size_t i = 0; i < 3; ++i) {
-        EXPECT_EQ(back.cells[i].experiment, "serve_test_echo");
-        EXPECT_EQ(back.cells[i].args, batch.cells[i].args);
-        EXPECT_EQ(back.cells[i].stream, batch.cells[i].stream);
-        EXPECT_EQ(back.cells[i].attempt, batch.cells[i].attempt);
-    }
-
-    // A batch whose declared cell count disagrees with its embedded
-    // cells is malformed, as is a truncated embedded cell.
-    std::string encoded = encodeRequest(batch);
-    EXPECT_FALSE(decodeRequest(
-        encoded.substr(0, encoded.size() - 5), back, error));
-}
-
-TEST(ServeProtocolTest, BatchBodyRoundTripsBinaryParts)
-{
-    std::vector<Response> parts(3);
-    parts[0].status = Status::Ok;
-    parts[0].body = std::string("bin\0line\n\tbytes", 15);
-    parts[1].status = Status::RetryLater;
-    parts[1].message = "admission queue full";
-    parts[2].status = Status::Error;
-    parts[2].message = "exited with code 3";
-
-    const std::string body = encodeBatchBody(parts);
-    std::vector<Response> back;
-    std::string error;
-    ASSERT_TRUE(decodeBatchBody(body, back, error)) << error;
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back[0].status, Status::Ok);
-    EXPECT_EQ(back[0].body, parts[0].body);
-    EXPECT_EQ(back[1].status, Status::RetryLater);
-    EXPECT_EQ(back[1].message, parts[1].message);
-    EXPECT_EQ(back[2].status, Status::Error);
-
-    EXPECT_FALSE(decodeBatchBody("", back, error));
-    EXPECT_FALSE(
-        decodeBatchBody(body.substr(0, body.size() - 3), back,
-                        error));
 }
 
 // ---------------------------------------------------------------------
@@ -715,57 +663,6 @@ TEST(ServeServerTest, ServedRunMatchesDirectRegistryBitwise)
     EXPECT_EQ(snapshot.completed, 2u);
 }
 
-TEST(ServeServerTest, BatchRunsEveryCellAndMatchesDirectBitwise)
-{
-    ServerOptions options;
-    options.workers = 2;
-    TestServer harness(options, "batch");
-
-    ClientOptions copt;
-    copt.socket_path = harness.socketPath();
-    Client client(copt);
-
-    std::vector<Request> cells;
-    for (int i = 0; i < 3; ++i)
-        cells.push_back(runRequest(
-            "serve_test_echo", {"--rows", std::to_string(i + 2)},
-            0.0, 50 + static_cast<std::uint64_t>(i), 0));
-    // One bad apple: a per-cell error is a part answer, not a batch
-    // failure.
-    cells.push_back(
-        runRequest("no_such_experiment", {}, 0.0, 60, 0));
-
-    Response response;
-    std::string error;
-    ASSERT_TRUE(client.runBatch(cells, response, error)) << error;
-    ASSERT_EQ(response.status, Status::Ok);
-
-    std::vector<Response> parts;
-    ASSERT_TRUE(decodeBatchBody(response.body, parts, error))
-        << error;
-    ASSERT_EQ(parts.size(), 4u);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(parts[i].status, Status::Ok);
-        EXPECT_EQ(parts[i].body,
-                  directBody("serve_test_echo",
-                             {"--rows", std::to_string(i + 2)}));
-    }
-    EXPECT_EQ(parts[3].status, Status::Error);
-    EXPECT_NE(parts[3].message.find("unknown experiment"),
-              std::string::npos);
-
-    // Each batch cell is a real run with a real cache identity: a
-    // repeat replays every part from cache.
-    ASSERT_TRUE(client.runBatch(cells, response, error)) << error;
-    std::vector<Response> replay;
-    ASSERT_TRUE(decodeBatchBody(response.body, replay, error));
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_TRUE(replay[i].cached) << "part " << i;
-        EXPECT_EQ(replay[i].body, parts[i].body);
-    }
-    EXPECT_EQ(harness.server->healthSnapshot().cache_hits, 3u);
-}
-
 TEST(ServeServerTest, UnknownExperimentAndBadArgsAnswerError)
 {
     ServerOptions options;
@@ -809,13 +706,20 @@ TEST(ServeServerTest, MalformedFrameAnswersErrorNotDeath)
     std::string error;
     const int fd = connectUnix(harness.socketPath(), error);
     ASSERT_GE(fd, 0) << error;
-    ASSERT_TRUE(sendFrame(fd, "complete garbage"));
     std::string payload;
-    ASSERT_TRUE(recvFrame(fd, payload, error)) << error;
     Response response;
-    ASSERT_TRUE(decodeResponse(payload, response, error)) << error;
-    EXPECT_EQ(response.status, Status::Error);
-    EXPECT_NE(response.message.find("bad request"), std::string::npos);
+    for (const auto &[bad, why] :
+         {std::pair{"complete garbage", "bad request magic"},
+          std::pair{kRetiredBatchPayload, "unknown request kind"}}) {
+        ASSERT_TRUE(sendFrame(fd, bad));
+        ASSERT_TRUE(recvFrame(fd, payload, error)) << error;
+        ASSERT_TRUE(decodeResponse(payload, response, error)) << error;
+        EXPECT_EQ(response.status, Status::Error);
+        EXPECT_NE(response.message.find(std::string("bad request: ") +
+                                        why),
+                  std::string::npos)
+            << response.message;
+    }
 
     // Same connection still serves well-formed requests.
     ASSERT_TRUE(sendFrame(
