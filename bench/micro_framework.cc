@@ -41,7 +41,11 @@ BM_LatencyRecord(benchmark::State &state)
 }
 BENCHMARK(BM_LatencyRecord);
 
-/** Metered-latency transform over n events. */
+/** Metered-latency transform over n events with a 1 us mean gap. The
+ *  window is span / 70, the ratio of the 100 ms metered window to a
+ *  ~7 s timed iteration in the latency_synth benchmark workload: the
+ *  ramp is walked, not short-cut to full smoothing, and ~1.4% of
+ *  events lie within W/2 of an end. */
 void
 BM_MeteredLatency(benchmark::State &state)
 {
@@ -49,17 +53,43 @@ BM_MeteredLatency(benchmark::State &state)
     support::Rng rng(1);
     metrics::LatencyRecorder rec;
     double t = 0.0;
+    double first = 0.0;
     for (int i = 0; i < n; ++i) {
         t += rng.exponential(1000.0);
+        if (i == 0)
+            first = t;
         rec.record(t, t + rng.exponential(500.0));
     }
+    const double window = (t - first) / 70.0;
     for (auto _ : state) {
-        auto metered = rec.meteredLatencies(100e6);
+        auto metered = rec.meteredLatencies(window);
         benchmark::DoNotOptimize(metered.data());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_MeteredLatency)->Arg(1000)->Arg(10000)->Arg(100000);
+
+/** Metered latency over starts exactly one window apart: every window
+ *  opens where the previous one closes, so the tied edges take the
+ *  sort-based path. */
+void
+BM_MeteredLatencyTied(benchmark::State &state)
+{
+    const auto n = static_cast<int>(state.range(0));
+    const double window = 1000.0;
+    support::Rng rng(1);
+    metrics::LatencyRecorder rec;
+    for (int i = 0; i < n; ++i) {
+        const double start = window * i;
+        rec.record(start, start + rng.exponential(500.0));
+    }
+    for (auto _ : state) {
+        auto metered = rec.meteredLatencies(window);
+        benchmark::DoNotOptimize(metered.data());
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_MeteredLatencyTied)->Arg(1000)->Arg(10000)->Arg(100000);
 
 /** The paper's three latency quantiles (p50, p99, p99.9) of n
  *  samples in one selection pass, copy of the sample included. */

@@ -87,8 +87,9 @@ done
 # Advisory microbench rows: per-event engine cost, the GC pause
 # round-trip (stall -> batch freeze -> fused TTSP+pause compute ->
 # batch resume) and the latency summaries (selection quantiles,
-# single-sort metered latency). Printed for the trajectory log; never
-# fails the build — the harness-level gate above is the arbiter.
+# metered latency's ramp walk and its tied-edge sort). Printed for the
+# trajectory log; never fails the build — the harness-level gate above
+# is the arbiter.
 MICRO="$BUILD_DIR/bench/micro_framework"
 if [ -x "$MICRO" ]; then
     echo "== advisory: engine step / pause path / latency summary microbenches"

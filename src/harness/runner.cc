@@ -81,13 +81,13 @@ struct WorkerCaches
     std::map<std::string, workloads::RunSetup> setups;
 };
 
-thread_local WorkerCaches *t_caches = nullptr;
+thread_local std::unique_ptr<WorkerCaches> t_caches;
 
 WorkerCaches &
 workerCaches()
 {
     if (t_caches == nullptr)
-        t_caches = new WorkerCaches();  // leaked: lives to thread exit
+        t_caches = std::make_unique<WorkerCaches>();  // freed at thread exit
     return *t_caches;
 }
 

@@ -18,7 +18,10 @@
  * start contributes arrival density 1/W over [s - W/2, s + W/2],
  * clipped to the observed span; the resulting piecewise-linear
  * cumulative function is inverted at the normalized event ranks. This
- * is exact, monotone, and has the two limits above.
+ * is exact, monotone, and has the two limits above. Its breakpoints are
+ * walked in one linear merge of the start-ordered window edges, without
+ * a sort; input where a window opens exactly where another closes,
+ * whose tie a sort would order, falls back to sorting them.
  */
 
 #ifndef CAPO_METRICS_LATENCY_HH

@@ -20,10 +20,13 @@ using namespace capo;
 
 TEST(PoolTest, RunsSubmittedTasks)
 {
-    exec::Pool pool(2);
     std::atomic<int> ran{0};
     std::mutex mutex;
     std::condition_variable cv;
+    // Declared last so its workers are joined before the last task's
+    // lock and notify can touch a destroyed mutex or cv: the wait can
+    // see ran == 100 before that task reaches them.
+    exec::Pool pool(2);
     for (int i = 0; i < 100; ++i) {
         pool.submit([&] {
             if (ran.fetch_add(1) + 1 == 100) {

@@ -2,9 +2,11 @@
  * @file
  * Randomized property tests over the methodology metrics: for
  * arbitrary (seeded) inputs, the defining invariants of LBO and
- * metered latency must hold, selection-based quantiles and the
- * single-sort metered latency must equal the sort-based originals bit
- * for bit, and the file-based export paths must round-trip.
+ * metered latency must hold, selection-based quantiles must equal the
+ * sort-based originals bit for bit, the smoothing core behind the
+ * metered views must reproduce its sort-based reference byte for byte
+ * (including inputs whose window edges tie), and the file-based export
+ * paths must round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +15,15 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 
 #include "metrics/export.hh"
 #include "metrics/latency.hh"
 #include "metrics/lbo.hh"
 #include "metrics/request_synth.hh"
 #include "metrics/summary.hh"
+#include "support/csv.hh"
+#include "support/logging.hh"
 #include "support/rng.hh"
 
 namespace capo::metrics {
@@ -192,10 +197,131 @@ TEST(QuantileSelectionTest, PercentileCurveMatchesSort)
         EXPECT_TRUE(sameBits(ns, quantileSorted(sorted, p))) << p;
 }
 
-/** The pre-selection meteredLatencies(): a pointer sort for the
- *  pairing plus syntheticStarts()' own sort of the start times. */
+// ---------------------------------------------------------------------
+// The smoothing core against independent code: the sort-based core it
+// replaced, with pointer-sorted pairing and its own CSV rows.
+
+/** The smoothing core as it was before the linear walk (window
+ *  breakpoints std::sort'ed, R tabulated, then inverted), verbatim. */
 std::vector<double>
-referenceMetered(const LatencyRecorder &rec, double window_ns)
+referenceSmoothStarts(std::vector<double> starts, double window_ns)
+{
+    const std::size_t n = starts.size();
+    if (n == 0)
+        return {};
+
+    const double t0 = starts.front();
+    const double t1 = starts.back();
+    const double span = t1 - t0;
+    if (span <= 0.0)
+        return starts;  // all simultaneous: nothing to smooth
+
+    // A (positive) window below the span's floating-point resolution
+    // smooths nothing; short-circuit to the identity rather than
+    // sweeping ramps whose widths are dominated by rounding error.
+    // (window_ns <= 0 selects full smoothing below.)
+    if (window_ns > 0.0 && window_ns < span * 1e-9)
+        return starts;
+
+    // Full smoothing: uniform arrivals over the span. The grid is
+    // endpoint-inclusive so that already-uniform arrivals map onto
+    // themselves (metered == simple for a perfectly steady run).
+    if (window_ns <= 0.0 || window_ns >= 2.0 * span) {
+        std::vector<double> synth(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            synth[i] = t0 + (static_cast<double>(i) + 0.5) /
+                                static_cast<double>(n) * span;
+        }
+        return synth;
+    }
+
+    // Build the window-smoothed cumulative arrival function R(t):
+    // piecewise linear, with slope changing by +-1/W at each event's
+    // window edges. Mass falling outside the observed span is
+    // reflected back inside (standard density boundary correction),
+    // so R(t1) = n exactly and edge events are not biased early or
+    // late — without this, the last events of a run would inherit a
+    // spurious ~W/8 queueing delay.
+    struct Breakpoint {
+        double t;
+        double slope_delta;
+    };
+    std::vector<Breakpoint> breaks;
+    breaks.reserve(4 * n);
+    const double half = window_ns / 2.0;
+    const double unit_slope = 1.0 / window_ns;
+    auto add_interval = [&](double lo, double hi) {
+        if (hi <= lo)
+            return;
+        breaks.push_back({lo, unit_slope});
+        breaks.push_back({hi, -unit_slope});
+    };
+    for (double s : starts) {
+        const double a = s - half;
+        const double b = s + half;
+        add_interval(std::max(a, t0), std::min(b, t1));
+        if (a < t0)
+            add_interval(t0, t0 + (t0 - a));  // reflect left overflow
+        if (b > t1)
+            add_interval(t1 - (b - t1), t1);  // reflect right overflow
+    }
+    std::sort(breaks.begin(), breaks.end(),
+              [](const Breakpoint &a, const Breakpoint &b) {
+                  return a.t < b.t;
+              });
+
+    // Sweep to tabulate R at each breakpoint.
+    std::vector<double> bp_t, bp_r;
+    bp_t.reserve(breaks.size() + 1);
+    bp_r.reserve(breaks.size() + 1);
+    double slope = 0.0;
+    double r = 0.0;
+    double prev_t = t0;
+    bp_t.push_back(t0);
+    bp_r.push_back(0.0);
+    for (const auto &b : breaks) {
+        r += slope * (b.t - prev_t);
+        slope += b.slope_delta;
+        prev_t = b.t;
+        bp_t.push_back(b.t);
+        bp_r.push_back(r);
+    }
+    r += slope * (t1 - prev_t);
+    bp_t.push_back(t1);
+    bp_r.push_back(r);
+    const double total = r;
+    CAPO_ASSERT(total > 0.0, "smoothed arrival mass vanished");
+
+    // Invert R at the normalized ranks (two-pointer; ranks ascend).
+    std::vector<double> synth(n);
+    std::size_t seg = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Midpoint ranks: an event sits at the centre of its own
+        // smoothed arrival mass, so the identity (tiny-window) limit
+        // is exact and residual error is bounded by a quarter of the
+        // mean inter-arrival gap.
+        const double target = (static_cast<double>(i) + 0.5) /
+                              static_cast<double>(n) * total;
+        while (seg + 1 < bp_r.size() && bp_r[seg + 1] < target)
+            ++seg;
+        const double r_lo = bp_r[seg];
+        const double r_hi = seg + 1 < bp_r.size() ? bp_r[seg + 1] : total;
+        const double t_lo = bp_t[seg];
+        const double t_hi = seg + 1 < bp_t.size() ? bp_t[seg + 1] : t1;
+        if (r_hi > r_lo) {
+            synth[i] = t_lo + (target - r_lo) / (r_hi - r_lo) *
+                                  (t_hi - t_lo);
+        } else {
+            synth[i] = t_hi;
+        }
+    }
+    return synth;
+}
+
+/** The events in start order by a pointer sort (the pairing order
+ *  eventsByStart() must reproduce). */
+std::vector<const LatencyEvent *>
+referenceByStart(const LatencyRecorder &rec)
 {
     std::vector<const LatencyEvent *> by_start;
     for (const auto &e : rec.events())
@@ -204,7 +330,13 @@ referenceMetered(const LatencyRecorder &rec, double window_ns)
               [](const LatencyEvent *a, const LatencyEvent *b) {
                   return a->start < b->start;
               });
-    const auto synth = rec.syntheticStarts(window_ns);
+    return by_start;
+}
+
+std::vector<double>
+referenceMetered(const std::vector<const LatencyEvent *> &by_start,
+                 const std::vector<double> &synth)
+{
     std::vector<double> out;
     for (std::size_t i = 0; i < by_start.size(); ++i) {
         const double assumed = std::min(by_start[i]->start, synth[i]);
@@ -213,33 +345,91 @@ referenceMetered(const LatencyRecorder &rec, double window_ns)
     return out;
 }
 
-void
-expectMeteredMatchesReference(const LatencyRecorder &rec)
+/** The rows exportLatencyCsv() must write. */
+std::string
+referenceCsv(const std::vector<const LatencyEvent *> &by_start,
+             const std::vector<double> &metered)
 {
-    for (double window : {0.0, 1e-9, 10.0, 1000.0, 50000.0, 5e6}) {
-        const auto want = referenceMetered(rec, window);
-        const auto got = rec.meteredLatencies(window);
-        ASSERT_EQ(got.size(), want.size());
-        for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_TRUE(sameBits(got[i], want[i]))
-                << "window " << window << " event " << i << ": "
-                << got[i] << " vs " << want[i];
-        }
+    std::ostringstream out;
+    support::CsvWriter csv(out);
+    csv.header({"intended_ns", "start_ns", "end_ns", "intended_lat_ns",
+                "simple_ns", "metered_ns"});
+    for (std::size_t i = 0; i < by_start.size(); ++i) {
+        csv.beginRow();
+        csv.cell(by_start[i]->intended);
+        csv.cell(by_start[i]->start);
+        csv.cell(by_start[i]->end);
+        csv.cell(by_start[i]->intendedLatency());
+        csv.cell(by_start[i]->latency());
+        csv.cell(metered[i]);
+        csv.endRow();
     }
+    return out.str();
+}
+
+bool
+sameBytes(const std::vector<double> &a, const std::vector<double> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof a[0]) == 0);
+}
+
+/** Windows from below the span's resolution to full smoothing,
+ *  including multiples of the 250 ns lattice below (mixed ties). */
+const std::vector<double> kWindows = {0.0,   1e-9,  1.0,  10.0,
+                                      250.0, 500.0, 1000.0, 4000.0,
+                                      5e4,   5e6,   1e12};
+
+/** syntheticStarts() and meteredLatencies() against the references,
+ *  byte for byte, at every window. exportLatencyCsv() adds only row
+ *  pairing and formatting to the metered view, so its bytes are checked
+ *  at full smoothing and at one ramp window (the slow part is the text). */
+void
+expectMatchesReference(const LatencyRecorder &rec, const char *input)
+{
+    const auto by_start = referenceByStart(rec);
+    std::vector<double> starts;
+    for (const auto *e : by_start)
+        starts.push_back(e->start);
+    for (double window : kWindows) {
+        SCOPED_TRACE(::testing::Message() << input << ", n " << rec.size()
+                                          << ", window " << window);
+        const auto synth = referenceSmoothStarts(starts, window);
+        const auto metered = referenceMetered(by_start, synth);
+        EXPECT_TRUE(sameBytes(rec.syntheticStarts(window), synth));
+        EXPECT_TRUE(sameBytes(rec.meteredLatencies(window), metered));
+        if (window != 0.0 && window != 1000.0)
+            continue;
+        std::ostringstream got;
+        exportLatencyCsv(rec, window, got);
+        const std::string want = referenceCsv(by_start, metered);
+        EXPECT_TRUE(got.str().size() == want.size() &&
+                    std::memcmp(got.str().data(), want.data(),
+                                want.size()) == 0);
+    }
+}
+
+/** Lattice starts (a multiple of @p step, drawn from @p values
+ *  points), ends all distinct: a tie paired with the wrong end would
+ *  change the output. */
+LatencyRecorder
+latticeStarts(support::Rng &rng, int n, std::uint64_t values, double step)
+{
+    LatencyRecorder rec;
+    for (int i = 0; i < n; ++i) {
+        const double start =
+            static_cast<double>(rng.uniformInt(values)) * step;
+        rec.record(start, start + rng.exponential(300.0));
+    }
+    return rec;
 }
 
 TEST_P(QuantileFuzz, MeteredMatchesTwoSortReferenceWithTiedStarts)
 {
     support::Rng rng(GetParam());
-    // Starts drawn from a few values, ends all distinct: a tie paired
-    // with the wrong end would change the output.
-    LatencyRecorder tied;
-    for (int i = 0; i < 3000; ++i) {
-        const double start =
-            static_cast<double>(rng.uniformInt(40)) * 250.0;
-        tied.record(start, start + rng.exponential(300.0));
-    }
-    expectMeteredMatchesReference(tied);
+    expectMatchesReference(latticeStarts(rng, 3000, 40, 250.0),
+                           "250 ns lattice");
 
     // synthesizeRequests starts every lane at window_begin.
     const std::vector<sim::RateSegment> timeline = {
@@ -251,7 +441,41 @@ TEST_P(QuantileFuzz, MeteredMatchesTwoSortReferenceWithTiedStarts)
     const auto synthesized = synthesizeRequests(
         timeline, 1.0, profile, 0.0, 1e9,
         support::Rng(static_cast<std::uint64_t>(GetParam())));
-    expectMeteredMatchesReference(synthesized);
+    expectMatchesReference(synthesized, "synthesizeRequests lanes");
+}
+
+TEST_P(QuantileFuzz, SmoothingMatchesSortReference)
+{
+    support::Rng rng(GetParam());
+    LatencyRecorder bursty;
+    double t = 0.0;
+    for (int i = 0; i < 2000; ++i) {
+        t += rng.uniform() < 0.05 ? rng.exponential(5000.0)
+                                  : rng.exponential(100.0);
+        bursty.record(t, t + rng.exponential(80.0));
+    }
+    expectMatchesReference(bursty, "bursty");
+    expectMatchesReference(latticeStarts(rng, 200, 12, 1.0),
+                           "integer lattice");
+    // Near 2^52 the doubles are the integers: a 1 ns window rounds to
+    // nothing around even starts, whose intervals the sort skipped.
+    LatencyRecorder coarse;
+    for (int i = 0; i < 200; ++i) {
+        const double start =
+            0x1p52 + static_cast<double>(rng.uniformInt(400));
+        coarse.record(start, start + 1000.0);
+    }
+    expectMatchesReference(coarse, "starts near 2^52");
+    for (int n = 1; n <= 4; ++n) {
+        expectMatchesReference(latticeStarts(rng, n, 4, 250.0),
+                               "short lattice");
+        LatencyRecorder few;
+        for (int i = 0; i < n; ++i) {
+            const double start = rng.uniform(0.0, 5000.0);
+            few.record(start, start + rng.exponential(300.0));
+        }
+        expectMatchesReference(few, "short");
+    }
 }
 
 TEST(ExportFileTest, WriteCsvFileRoundTrips)
