@@ -14,8 +14,6 @@
 #ifndef CAPO_BENCH_BENCH_COMMON_HH
 #define CAPO_BENCH_BENCH_COMMON_HH
 
-#include <chrono>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -74,77 +72,6 @@ class AsciiTable
 
   private:
     report::ResultTable table_;
-};
-
-/** Monotonic seconds for measuring harness throughput. */
-inline double
-monotonicSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/**
- * Machine-readable benchmark report (BENCH_harness.json): flat
- * key/value JSON recording harness throughput (cells/sec, sim
- * events/sec) and the serial-vs-parallel speedup, for CI artifacts
- * and cross-commit comparison.
- */
-class BenchJson
-{
-  public:
-    void
-    set(const std::string &key, double value)
-    {
-        char buffer[64];
-        std::snprintf(buffer, sizeof buffer, "%.17g", value);
-        fields_.emplace_back(key, buffer);
-    }
-
-    void
-    set(const std::string &key, std::uint64_t value)
-    {
-        fields_.emplace_back(key, std::to_string(value));
-    }
-
-    void
-    set(const std::string &key, int value)
-    {
-        fields_.emplace_back(key, std::to_string(value));
-    }
-
-    void
-    set(const std::string &key, bool value)
-    {
-        fields_.emplace_back(key, value ? "true" : "false");
-    }
-
-    void
-    set(const std::string &key, const std::string &value)
-    {
-        fields_.emplace_back(key, "\"" + value + "\"");
-    }
-
-    /** Write the report through the artifact sink; fatal-free (the
-     *  sink retries and quarantines — a bench must not fail on an
-     *  unwritable report path). */
-    bool
-    write(report::ArtifactSink &sink, const std::string &path) const
-    {
-        return sink.write(path, [this](std::ostream &out) {
-            out << "{\n";
-            for (std::size_t i = 0; i < fields_.size(); ++i) {
-                out << "  \"" << fields_[i].first
-                    << "\": " << fields_[i].second
-                    << (i + 1 < fields_.size() ? "," : "") << "\n";
-            }
-            out << "}\n";
-        });
-    }
-
-  private:
-    std::vector<std::pair<std::string, std::string>> fields_;
 };
 
 /** Format an LBO overhead value ("1.153"). */

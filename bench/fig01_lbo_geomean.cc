@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench/bench_common.hh"
-#include "exec/pool.hh"
 #include "support/ascii_chart.hh"
 #include "harness/lbo_experiment.hh"
 #include "workloads/registry.hh"
@@ -31,25 +30,6 @@ sweepSuite(const harness::LboSweepOptions &sweep)
     return per_workload;
 }
 
-/** Are two aggregated curves bit-identical? */
-bool
-identicalPoints(const std::vector<harness::SuiteLboPoint> &a,
-                const std::vector<harness::SuiteLboPoint> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].collector != b[i].collector ||
-            a[i].factor != b[i].factor ||
-            a[i].plotted != b[i].plotted ||
-            a[i].completed != b[i].completed ||
-            a[i].wall_geomean != b[i].wall_geomean ||
-            a[i].cpu_geomean != b[i].cpu_geomean)
-            return false;
-    }
-    return true;
-}
-
 int
 runFig01(report::ExperimentContext &context)
 {
@@ -57,17 +37,8 @@ runFig01(report::ExperimentContext &context)
     sweep.factors = {1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0};
     sweep.base = context.options;
 
-    const double start = bench::monotonicSeconds();
     const auto per_workload = sweepSuite(sweep);
-    const double elapsed = bench::monotonicSeconds() - start;
     const auto points = harness::aggregateSuiteLbo(per_workload, sweep);
-
-    std::uint64_t dispatches = 0;
-    for (const auto &w : per_workload)
-        dispatches += w.dispatches;
-    const std::size_t cells = per_workload.size() *
-                              sweep.collectors.size() *
-                              sweep.factors.size();
 
     auto &curve = context.store.table(
         "suite_lbo",
@@ -84,41 +55,6 @@ runFig01(report::ExperimentContext &context)
                       report::Value::uinteger(p.completed),
                       report::Value::dbl(p.wall_geomean),
                       report::Value::dbl(p.cpu_geomean)});
-    }
-
-    const std::string report_path =
-        context.flags.getString("bench-json");
-    if (!report_path.empty()) {
-        bench::BenchJson report;
-        report.set("bench", std::string("fig01_lbo_geomean"));
-        report.set("jobs",
-                   static_cast<int>(exec::resolveJobs(sweep.base.jobs)));
-        report.set("cells", static_cast<std::uint64_t>(cells));
-        report.set("elapsed_sec", elapsed);
-        report.set("cells_per_sec", cells / elapsed);
-        report.set("sim_events", dispatches);
-        report.set("sim_events_per_sec",
-                   static_cast<double>(dispatches) / elapsed);
-
-        // With parallelism requested, rerun serially to measure the
-        // speedup and prove the output bit-identical.
-        if (exec::resolveJobs(sweep.base.jobs) > 1) {
-            std::cerr << "  serial rerun for speedup baseline...\n";
-            harness::LboSweepOptions serial = sweep;
-            serial.base.jobs = 1;
-            const double serial_start = bench::monotonicSeconds();
-            const auto serial_workloads = sweepSuite(serial);
-            const double serial_elapsed =
-                bench::monotonicSeconds() - serial_start;
-            const auto serial_points =
-                harness::aggregateSuiteLbo(serial_workloads, serial);
-            report.set("serial_elapsed_sec", serial_elapsed);
-            report.set("speedup", serial_elapsed / elapsed);
-            report.set("identical_to_serial",
-                       identicalPoints(points, serial_points));
-        }
-        if (report.write(context.artifacts, report_path))
-            std::cerr << "  wrote " << report_path << "\n";
     }
 
     for (const char *axis : {"wall", "cpu"}) {
@@ -197,14 +133,6 @@ const report::RegisterExperiment kRegister{[] {
     e.paper_ref = "Figure 1(a,b)";
     e.description =
         "Figure 1: suite-wide lower-bound GC overheads vs heap size";
-    e.add_flags = [](support::Flags &flags) {
-        // Off by default: the committed BENCH_harness.json is now the
-        // obs-layer snapshot (capo-bench snapshot), a different
-        // schema; this flat report remains for the CI smoke check.
-        flags.addString("bench-json", "",
-                        "machine-readable throughput report path "
-                        "(empty disables)");
-    };
     e.run = runFig01;
     return e;
 }()};

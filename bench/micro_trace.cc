@@ -107,9 +107,7 @@ BM_HistogramRecord(benchmark::State &state)
 BENCHMARK(BM_HistogramRecord);
 
 /** Disabled hot-tier observe: one relaxed load and a branch — the
- *  price every hot-path probe pays when nobody is measuring. This is
- *  the number the recorder stores as hot_disabled_ns in every
- *  committed BENCH snapshot. */
+ *  price every hot-path probe pays when nobody is measuring. */
 void
 BM_HotObserveDisabled(benchmark::State &state)
 {

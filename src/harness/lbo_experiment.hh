@@ -46,8 +46,8 @@ struct WorkloadLbo
     std::string workload;
     metrics::LboAnalysis analysis;
 
-    /** Engine events processed across every invocation of the sweep
-     *  (throughput denominator for bench reports). */
+    /** Engine events processed across every invocation of the
+     *  sweep. */
     std::uint64_t dispatches = 0;
 
     /** (collector, factor) -> did every invocation complete? */

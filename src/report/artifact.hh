@@ -1,8 +1,7 @@
 /**
  * @file
  * ArtifactSink: the one choke point through which every result
- * artifact — CSV, JSON-lines, bench reports, trace exports — reaches
- * disk.
+ * artifact — CSV, JSON-lines, trace exports — reaches disk.
  *
  * Funnelling all artifact I/O through one object buys three things:
  *

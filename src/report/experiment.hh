@@ -54,7 +54,7 @@ struct ExperimentContext
      *  experiment's quick presets; bodies copy and tweak freely. */
     harness::ExperimentOptions options;
 
-    /** The artifact choke point (bench reports, extra files). */
+    /** The artifact choke point (extra files beyond the tables). */
     ArtifactSink &artifacts;
 
     /** Typed result tables; flushed through `artifacts` as

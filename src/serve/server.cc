@@ -9,7 +9,6 @@
 #include "report/experiment.hh"
 #include "serve/socket.hh"
 #include "support/flags.hh"
-#include "trace/hot_metrics.hh"
 
 namespace capo::serve {
 
@@ -332,10 +331,6 @@ ExperimentServer::connectionLoop(int fd)
             response.status = Status::Ok;
             response.message =
                 draining_.load() ? "DRAINING" : "HEALTHY";
-            // Fold the lock-free hot tier into the registry first so
-            // one scrape shows both metric families.
-            if (options_.metrics != nullptr)
-                trace::hot::mirrorInto(*options_.metrics);
             response.body = encodeStore(
                 healthStore(healthSnapshot(), options_.metrics));
             if (!writeResponse(fd, response, injector))

@@ -19,11 +19,11 @@
  * (snapshot()); nothing on any result path may read them, so their
  * cross-thread interleaving can never perturb experiment output.
  *
- * Disabled behaviour: when the gate is off (the default for library
- * code; harness entry points turn it on), observe()/count() cost a
- * single relaxed load and branch — cheap enough to leave compiled into
- * every hot loop unconditionally (bench/micro_trace.cc holds the
- * proof).
+ * Disabled behaviour: the gate is off by default, and only measuring
+ * programs turn it on (perfbench's traced run, bench/micro_trace.cc,
+ * the tests). Off, observe()/count() cost a single relaxed load and
+ * branch — cheap enough to leave compiled into every hot loop
+ * unconditionally (bench/micro_trace.cc holds the proof).
  */
 
 #ifndef CAPO_TRACE_HOT_METRICS_HH
@@ -35,10 +35,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-namespace capo::trace {
-class MetricsRegistry;
-}
 
 namespace capo::trace::hot {
 
@@ -147,7 +143,8 @@ enabled()
     return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/** Flip recording on/off (harness entry points, tests). */
+/** Flip recording on/off (perfbench's traced run, micro_trace,
+ *  tests). */
 void setEnabled(bool on);
 
 /**
@@ -315,13 +312,6 @@ struct HistogramSnapshot
     std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 cells.
 
     double mean() const { return count > 0 ? sum / count : 0.0; }
-
-    /**
-     * Approximate @p q quantile (q in [0, 1]; 0 when empty): linear
-     * interpolation inside the selected bucket, with the overflow
-     * bucket reported at the last bound.
-     */
-    double quantile(double q) const;
 };
 
 /** A quiescent copy of the whole hot tier. */
@@ -350,13 +340,6 @@ Snapshot snapshot();
 
 /** Zero every cell. Callers must guarantee no concurrent recording. */
 void reset();
-
-/**
- * Mirror the hot tier into a general registry (one counter per hot
- * counter, one log-bucketed histogram fed the per-bucket midpoints)
- * so exports that only know the registry still see the hot tier.
- */
-void mirrorInto(MetricsRegistry &registry);
 
 } // namespace capo::trace::hot
 

@@ -5,6 +5,7 @@
  * ThreadSanitizer smoke target (the CI TSan job runs them).
  */
 
+#include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -103,6 +104,55 @@ TEST(DeterminismTest, LboTablesIdenticalAcrossJobsAllCollectors)
     metrics::exportLboCsv(serial.analysis, a);
     metrics::exportLboCsv(parallel.analysis, b);
     EXPECT_EQ(a.str(), b.str());
+}
+
+/** The bit pattern of @p value, so -0.0 vs 0.0 and NaNs compare
+ *  exactly. */
+std::uint64_t
+bitsOf(double value)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof bits);
+    return bits;
+}
+
+TEST(DeterminismTest, SuiteLboCurveIdenticalAcrossJobs)
+{
+    // Figure 1's aggregation step: per-workload sweeps folded into
+    // one geomean curve per collector must not depend on --jobs.
+    LboSweepOptions sweep;
+    sweep.factors = {2.0, 3.0};
+    sweep.collectors = gc::productionCollectors();
+    sweep.base = baseOptions(1);
+    sweep.base.invocations = 2;
+
+    const auto curve = [&sweep](int jobs) {
+        LboSweepOptions options = sweep;
+        options.base.jobs = jobs;
+        std::vector<WorkloadLbo> per_workload;
+        for (const char *name : {"fop", "luindex"})
+            per_workload.push_back(
+                runLboSweep(workloads::byName(name), options));
+        return aggregateSuiteLbo(per_workload, options);
+    };
+    const auto serial = curve(1);
+    const auto parallel = curve(8);
+
+    ASSERT_EQ(serial.size(),
+              sweep.collectors.size() * sweep.factors.size());
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+        const auto &a = serial[i];
+        const auto &b = parallel[i];
+        EXPECT_EQ(a.collector, b.collector);
+        EXPECT_EQ(bitsOf(a.factor), bitsOf(b.factor));
+        EXPECT_EQ(a.plotted, b.plotted);
+        EXPECT_EQ(a.completed, b.completed);
+        EXPECT_EQ(bitsOf(a.wall_geomean), bitsOf(b.wall_geomean))
+            << a.collector << " @ " << a.factor;
+        EXPECT_EQ(bitsOf(a.cpu_geomean), bitsOf(b.cpu_geomean))
+            << a.collector << " @ " << a.factor;
+    }
 }
 
 TEST(DeterminismTest, MinHeapGridIdenticalAcrossJobs)

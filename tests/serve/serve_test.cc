@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +40,7 @@
 #include "serve/server.hh"
 #include "serve/socket.hh"
 #include "support/flags.hh"
+#include "trace/hot_metrics.hh"
 
 using namespace capo;
 using namespace capo::serve;
@@ -926,6 +928,9 @@ TEST(ServeServerTest, HealthCarriesMetricsRegistryScrape)
     Client client(copt);
     Response response;
     std::string error;
+    ASSERT_TRUE(client.run("serve_test_echo", {"--rows", "1"}, 0.0,
+                           response, error))
+        << error;
     ASSERT_TRUE(client.health(response, error)) << error;
 
     report::ResultStore store;
@@ -935,9 +940,13 @@ TEST(ServeServerTest, HealthCarriesMetricsRegistryScrape)
     ASSERT_EQ(table->schema().columns().size(), 9u);
 
     bool saw_counter = false, saw_gauge = false, saw_histogram = false;
+    bool saw_served = false;
     for (const auto &row : table->rows()) {
         const std::string &name = row[0].asString();
-        if (name == "test.requests") {
+        if (name == "serve.queue.accepted") {
+            saw_served = true;
+            EXPECT_DOUBLE_EQ(row[3].asDouble(), 1.0);
+        } else if (name == "test.requests") {
             saw_counter = true;
             EXPECT_EQ(row[1].asString(), "counter");
             EXPECT_DOUBLE_EQ(row[3].asDouble(), 4.0);
@@ -956,12 +965,21 @@ TEST(ServeServerTest, HealthCarriesMetricsRegistryScrape)
     EXPECT_TRUE(saw_counter);
     EXPECT_TRUE(saw_gauge);
     EXPECT_TRUE(saw_histogram);
+    EXPECT_TRUE(saw_served);
 
-    // The health scrape also folds in the hot tier: serve bumps its
-    // request counters through the registry, and the mirror adds the
-    // fixed hot metric names on demand — nothing should throw when a
-    // second scrape races more recording.
-    ASSERT_TRUE(client.health(response, error)) << error;
+    // The scrape lists what the registry records (the server's serve.*
+    // counters and the caller's own entries), never a hot-tier name:
+    // the hot tier is read only by the programs that turn it on.
+    std::set<std::string> hot_names;
+    for (std::size_t c = 0; c < trace::hot::kCounterCount; ++c)
+        hot_names.insert(
+            trace::hot::counterName(static_cast<trace::hot::Counter>(c)));
+    for (std::size_t h = 0; h < trace::hot::kHistogramCount; ++h)
+        hot_names.insert(trace::hot::histogramName(
+            static_cast<trace::hot::Histogram>(h)));
+    for (const auto &row : table->rows())
+        EXPECT_EQ(hot_names.count(row[0].asString()), 0u)
+            << row[0].asString();
 }
 
 TEST(ServeServerTest, ShutdownDrainsGracefully)

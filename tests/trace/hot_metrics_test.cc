@@ -2,19 +2,17 @@
  * @file
  * Hot-tier metrics tests: lock-free recording correctness under
  * concurrency (count/sum conservation across 8 threads — the TSan
- * target), quantile agreement with the general log-bucketed
- * Histogram, snapshot windowing, gating, and registry mirroring.
+ * target), per-run counter accumulators, snapshot windowing and
+ * gating.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
 #include "support/rng.hh"
 #include "trace/hot_metrics.hh"
-#include "trace/metrics_registry.hh"
 
 namespace {
 
@@ -119,38 +117,6 @@ TEST_F(HotMetricsTest, ConcurrentRecordingConservesEverySample)
     EXPECT_EQ(bucket_total, hist.count);
 }
 
-TEST_F(HotMetricsTest, QuantilesAgreeWithGeneralHistogram)
-{
-    // Same sample stream into the hot tier and the log-bucketed
-    // registry Histogram; both are bucket approximations, so agree
-    // within the coarser of the two buckets (the hot tier's bounds
-    // are 2x-spaced here, the registry's are ~33 % log10 buckets).
-    trace::Histogram general;
-    support::Rng rng(42);
-    for (int i = 0; i < 50000; ++i) {
-        // Log-uniform-ish over [1, 4096): both histograms see spread.
-        const double value = std::pow(
-            2.0, static_cast<double>(rng.next() % 1200) / 100.0);
-        trace::hot::observe(trace::hot::TimerQueueDepth, value);
-        general.record(value);
-    }
-    const auto hot =
-        trace::hot::snapshot().histogram(trace::hot::TimerQueueDepth);
-    for (const double q : {0.25, 0.5, 0.9, 0.99}) {
-        const double hot_q = hot.quantile(q);
-        const double general_q = general.quantile(q);
-        ASSERT_GT(hot_q, 0.0);
-        ASSERT_GT(general_q, 0.0);
-        // Agreement within a factor of 2: one hot bucket width.
-        EXPECT_LT(std::abs(std::log2(hot_q / general_q)), 1.0)
-            << "q=" << q << " hot=" << hot_q
-            << " general=" << general_q;
-    }
-    // Means are bucket-free on both sides: tight agreement.
-    EXPECT_NEAR(hot.mean(), general.mean(),
-                general.mean() * 0.01 + 0.01);
-}
-
 TEST_F(HotMetricsTest, SnapshotSinceWindowsTheDelta)
 {
     trace::hot::observe(trace::hot::PoolStealScan, 3.0);
@@ -178,44 +144,59 @@ TEST_F(HotMetricsTest, NamesAreDotted)
                  "runtime.alloc.stall_ns");
 }
 
-TEST_F(HotMetricsTest, MirrorIntoRegistryIsIncremental)
+TEST_F(HotMetricsTest, CounterAccumulatorAddIsGated)
 {
-    trace::MetricsRegistry registry;
-    trace::hot::count(trace::hot::SimEvents, 10);
-    trace::hot::observe(trace::hot::TimerQueueDepth, 8.0);
-    trace::hot::mirrorInto(registry);
-    EXPECT_DOUBLE_EQ(registry.counter("sim.engine.events").value(),
-                     10.0);
-    EXPECT_EQ(registry.histogram("sim.timer.queue_depth").count(), 1u);
-
-    // A second mirror after more recording adds only the delta.
-    trace::hot::count(trace::hot::SimEvents, 5);
-    trace::hot::observe(trace::hot::TimerQueueDepth, 8.0);
-    trace::hot::mirrorInto(registry);
-    EXPECT_DOUBLE_EQ(registry.counter("sim.engine.events").value(),
-                     15.0);
-    EXPECT_EQ(registry.histogram("sim.timer.queue_depth").count(), 2u);
-
-    // Mirroring with nothing new is a no-op.
-    trace::hot::mirrorInto(registry);
-    EXPECT_DOUBLE_EQ(registry.counter("sim.engine.events").value(),
-                     15.0);
-    EXPECT_EQ(registry.histogram("sim.timer.queue_depth").count(), 2u);
+    // The gate is read at add(), not at flush(): a delta added while
+    // recording is off never lands, even if the gate is on by then.
+    trace::hot::CounterAccumulator pauses(trace::hot::GcPauses);
+    trace::hot::setEnabled(false);
+    pauses.add(5);
+    trace::hot::setEnabled(true);
+    pauses.flush();
+    EXPECT_EQ(trace::hot::snapshot().counter(trace::hot::GcPauses), 0u);
 }
 
-TEST_F(HotMetricsTest, QuantileEdgeCases)
+TEST_F(HotMetricsTest, CounterAccumulatorFlushLandsTheExactSumOnce)
 {
-    const auto empty =
-        trace::hot::snapshot().histogram(trace::hot::DispatchBurst);
-    EXPECT_EQ(empty.quantile(0.5), 0.0);
+    trace::hot::CounterAccumulator pauses(trace::hot::GcPauses);
+    pauses.add(3);
+    pauses.add(4);
+    // Pending deltas stay local until the owner flushes.
+    EXPECT_EQ(trace::hot::snapshot().counter(trace::hot::GcPauses), 0u);
+    pauses.flush();
+    EXPECT_EQ(trace::hot::snapshot().counter(trace::hot::GcPauses), 7u);
+    // flush() clears what it landed: a second one adds nothing.
+    pauses.flush();
+    EXPECT_EQ(trace::hot::snapshot().counter(trace::hot::GcPauses), 7u);
+}
 
-    // All samples beyond the last bound: quantile reports the last
-    // bound (the histogram's honest "at least this much").
-    trace::hot::observe(trace::hot::DispatchBurst, 1e9);
-    trace::hot::observe(trace::hot::DispatchBurst, 2e9);
-    const auto overflow =
-        trace::hot::snapshot().histogram(trace::hot::DispatchBurst);
-    EXPECT_DOUBLE_EQ(overflow.quantile(0.5), 65536.0);
+TEST_F(HotMetricsTest, CounterAccumulatorsConserveAcrossThreads)
+{
+    // One accumulator per thread, as each pause protocol owns its own;
+    // the flushes race on the shared cell and must lose nothing.
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 20000;
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([t] {
+            trace::hot::CounterAccumulator pauses(trace::hot::GcPauses);
+            for (int i = 0; i < kPerThread; ++i) {
+                pauses.add(static_cast<std::uint64_t>(t + 1));
+                if (i % 1000 == 999)
+                    pauses.flush();
+            }
+            pauses.flush();
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    std::uint64_t expected = 0;
+    for (int t = 0; t < kThreads; ++t)
+        expected += static_cast<std::uint64_t>(t + 1) * kPerThread;
+    EXPECT_EQ(trace::hot::snapshot().counter(trace::hot::GcPauses),
+              expected);
 }
 
 } // namespace
