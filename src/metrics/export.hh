@@ -24,7 +24,9 @@
 namespace capo::metrics {
 
 /**
- * Write raw latency events (start, end, simple, metered) to CSV.
+ * Write raw latency events (start, end, simple, metered) to CSV, one
+ * row per event in LatencyRecorder::eventsByStart() order: ascending
+ * start, with rows of tied starts in recording order.
  *
  * @param window_ns Metered smoothing window (0 = full smoothing).
  * @return Rows written.

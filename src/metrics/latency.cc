@@ -352,14 +352,89 @@ LatencyRecorder::syntheticStarts(double window_ns) const
     return synth;
 }
 
+namespace {
+
+bool
+startsBefore(const LatencyEvent &a, const LatencyEvent &b)
+{
+    return a.start < b.start;
+}
+
+/** Buckets larger than this are sorted with std::stable_sort, so
+ *  clustered starts stay O(n log n); smaller ones by insertion. */
+constexpr std::size_t kInsertionMax = 32;
+
+} // namespace
+
 std::vector<LatencyEvent>
 LatencyRecorder::eventsByStart() const
 {
-    std::vector<LatencyEvent> by_start = events_;
-    std::sort(by_start.begin(), by_start.end(),
-              [](const LatencyEvent &a, const LatencyEvent &b) {
-                  return a.start < b.start;
-              });
+    // One distribution pass: a monotone map sends each start to one of
+    // n buckets over [first start, last start], a counting scatter
+    // places the events by bucket in record order, and each bucket is
+    // then sorted stably. A start never lands in a later bucket than a
+    // larger start, so the result is std::stable_sort's.
+    const std::size_t n = events_.size();
+    double lo = n > 0 ? events_[0].start : 0.0;
+    double hi = lo;
+    bool ascending = true;
+    for (const auto &e : events_) {
+        ascending &= !(e.start < hi);
+        lo = std::min(lo, e.start);
+        hi = std::max(hi, e.start);
+    }
+    if (ascending)
+        return events_;  // recorded in start order, ties included
+    const double scale = static_cast<double>(n) / (hi - lo);
+    if (!(std::isfinite(hi - lo) && std::isfinite(scale))) {
+        // A span no bucket map fits.
+        std::vector<LatencyEvent> by_start = events_;
+        std::stable_sort(by_start.begin(), by_start.end(), startsBefore);
+        return by_start;
+    }
+    const auto bucket = [&](double start) {
+        const double x = (start - lo) * scale;
+        return x < static_cast<double>(n) ? static_cast<std::size_t>(x)
+                                          : n - 1;
+    };
+
+    // next[b] is where bucket b's next event goes; after the scatter
+    // it is where bucket b ends.
+    std::vector<std::size_t> next(n + 1);
+    for (const auto &e : events_)
+        ++next[bucket(e.start) + 1];
+    std::size_t largest = 0;
+    for (std::size_t b = 1; b <= n; ++b) {
+        largest = std::max(largest, next[b]);
+        next[b] += next[b - 1];
+    }
+    std::vector<LatencyEvent> by_start(n);
+    for (const auto &e : events_)
+        by_start[next[bucket(e.start)]++] = e;
+
+    if (largest > kInsertionMax) {
+        std::size_t begin = 0;
+        for (std::size_t b = 0; b < n; ++b) {
+            if (next[b] - begin > kInsertionMax) {
+                std::stable_sort(by_start.begin() + begin,
+                                 by_start.begin() + next[b], startsBefore);
+            }
+            begin = next[b];
+        }
+    }
+    // One insertion pass sorts the small buckets: every start is below
+    // every start of a later bucket, so no event moves past its own
+    // bucket's beginning, and the sorted crowded ones pass unchanged.
+    for (std::size_t i = 1; i < n; ++i) {
+        if (!startsBefore(by_start[i], by_start[i - 1]))
+            continue;
+        const LatencyEvent e = by_start[i];
+        std::size_t j = i;
+        do {
+            by_start[j] = by_start[j - 1];
+        } while (--j > 0 && startsBefore(e, by_start[j - 1]));
+        by_start[j] = e;
+    }
     return by_start;
 }
 

@@ -80,16 +80,18 @@ class LatencyRecorder
      *  (unsorted); elementwise >= simpleLatencies(). */
     std::vector<double> intendedLatencies() const;
 
-    /** The events ordered by service start (one sort; ties keep the
-     *  order std::sort gives, a pure function of the record order). */
+    /** The events ordered by service start in std::stable_sort's
+     *  order: events with tied starts keep their recording order. One
+     *  distribution pass over n buckets, not a comparison sort. */
     std::vector<LatencyEvent> eventsByStart() const;
 
     /**
      * Metered latencies with the given smoothing window (ns), one per
-     * event in eventsByStart() order. @p window_ns <= 0 selects full
-     * smoothing (uniform synthetic arrivals over the observed span).
-     * Sorts the events once: the smoothing reads its start times from
-     * the same start-ordered events it pairs them with.
+     * event in eventsByStart() order, so tied starts in recording
+     * order. @p window_ns <= 0 selects full smoothing (uniform
+     * synthetic arrivals over the observed span). Orders the events
+     * once: the smoothing reads its start times from the same
+     * start-ordered events it pairs them with.
      */
     std::vector<double> meteredLatencies(double window_ns) const;
 

@@ -41,10 +41,11 @@ Summary summarize(const std::vector<double> &values);
 /**
  * Quantiles of a sample via linear interpolation between order
  * statistics, one result per entry of @p qs (ascending, each in
- * [0, 1]). Works by selection on @p values, O(n) per quantile rather
- * than a sort, and returns the same bits as sorting and calling
- * quantileSorted(). Throws std::invalid_argument on an empty sample,
- * a q outside [0, 1] or descending @p qs.
+ * [0, 1]). Works by selection on @p values, O(n) rather than a sort:
+ * from 5000 values on, a radix pass first keeps only the buckets that
+ * hold the needed order statistics. Returns the same bits as sorting
+ * and calling quantileSorted(). Throws std::invalid_argument on an
+ * empty sample, a q outside [0, 1] or descending @p qs.
  */
 std::vector<double> quantiles(std::vector<double> values,
                               const std::vector<double> &qs);

@@ -16,9 +16,8 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
     CAPO_ASSERT(config.heap_bytes > 0.0, "execution needs a heap size");
 
     // Per-worker reuse: the arena backs the engine's containers (reset
-    // per run), the pooled world keeps its capacity, and the log
-    // reserves last run's high-water marks. See worker_context.hh for
-    // why the reset is safe exactly here.
+    // per run) and the pooled world keeps its capacity. See
+    // worker_context.hh for why the reset is safe exactly here.
     WorkerContext &scratch = WorkerContext::instance();
     CAPO_ASSERT(!scratch.inUse(),
                 "runExecution re-entered on one thread");
@@ -41,7 +40,6 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
     heap::HeapSpace heap(heap_config, live);
 
     GcEventLog log;
-    log.reserveHint(scratch.phaseHint(), scratch.cycleHint());
     World &world = scratch.world();
     world.rebind(engine);
 
@@ -167,7 +165,6 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
                                           timed.wall_end);
     }
 
-    scratch.noteRun(log.phases().size(), log.cycles().size());
     result.log = std::move(log);
     return result;
 }

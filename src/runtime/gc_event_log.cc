@@ -55,13 +55,6 @@ GcEventLog::trackFor(GcPhase phase) const
     return isStwPhase(phase) ? pause_track_ : concurrent_track_;
 }
 
-void
-GcEventLog::reserveHint(std::size_t phases, std::size_t cycles)
-{
-    phases_.reserve(phases);
-    cycles_.reserve(cycles);
-}
-
 GcEventLog::PhaseToken
 GcEventLog::beginPhase(sim::Time t, GcPhase phase)
 {

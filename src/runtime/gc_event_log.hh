@@ -86,12 +86,6 @@ class GcEventLog
      */
     void traceInstant(const char *name, sim::Time t, double value = 0.0);
 
-    /**
-     * Pre-size the record vectors (reuse hint from a prior run on
-     * this worker, so the hot record path never reallocates).
-     */
-    void reserveHint(std::size_t phases, std::size_t cycles);
-
     /** Begin a pause/phase window at @p t. */
     PhaseToken beginPhase(sim::Time t, GcPhase phase);
 

@@ -27,8 +27,6 @@ WorkerContext::resetForTest()
         return;
     t_context->arena_.release();
     t_context->world_ = World();
-    t_context->phase_hint_ = 0;
-    t_context->cycle_hint_ = 0;
 }
 
 } // namespace capo::runtime

@@ -4,12 +4,12 @@
  *
  * A sweep worker runs many invocations back-to-back; each used to
  * reconstruct the same transient objects from the global heap. The
- * WorkerContext keeps one CellArena (backing the engine's containers),
- * one pooled World, and capacity hints for the GC event log, all
- * thread_local so no locking is involved. runExecution() resets the
- * arena and rebinds the world at entry; everything observable about a
- * run is therefore identical to fresh construction — the determinism
- * tests assert exactly that (dirty-reuse trap).
+ * WorkerContext keeps one CellArena (backing the engine's containers)
+ * and one pooled World, thread_local so no locking is involved.
+ * runExecution() resets the arena and rebinds the world at entry;
+ * everything observable about a run is therefore identical to fresh
+ * construction — the determinism tests assert exactly that
+ * (dirty-reuse trap).
  *
  * Lifetime argument for the arena reset: an engine only lives inside
  * one runExecution() call, runExecution() never re-enters on the same
@@ -19,8 +19,6 @@
 
 #ifndef CAPO_RUNTIME_WORKER_CONTEXT_HH
 #define CAPO_RUNTIME_WORKER_CONTEXT_HH
-
-#include <cstddef>
 
 #include "runtime/world.hh"
 #include "support/arena.hh"
@@ -35,21 +33,6 @@ class WorkerContext
 
     support::CellArena &arena() { return arena_; }
     World &world() { return world_; }
-
-    /** @{ Capacity hints carried between runs: the log and iteration
-     *  vectors reserve the high-water mark of prior runs up front, so
-     *  the per-cycle record path stops reallocating after warmup. */
-    std::size_t phaseHint() const { return phase_hint_; }
-    std::size_t cycleHint() const { return cycle_hint_; }
-    void
-    noteRun(std::size_t phases, std::size_t cycles)
-    {
-        if (phases > phase_hint_)
-            phase_hint_ = phases;
-        if (cycles > cycle_hint_)
-            cycle_hint_ = cycles;
-    }
-    /** @} */
 
     /** @{ Reentrancy guard: trips if a second execution ever starts
      *  on this thread while one is live (would invalidate the arena). */
@@ -69,8 +52,6 @@ class WorkerContext
 
     support::CellArena arena_;
     World world_;
-    std::size_t phase_hint_ = 0;
-    std::size_t cycle_hint_ = 0;
     bool in_use_ = false;
 };
 

@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "metrics/export.hh"
@@ -162,20 +164,36 @@ TEST_P(QuantileFuzz, SelectionMatchesSortBitForBit)
     support::Rng rng(GetParam());
     for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
                           std::size_t{7}, std::size_t{1000},
-                          std::size_t{12345}}) {
-        std::vector<double> heavy, ties, ascending, descending;
+                          std::size_t{12345}, std::size_t{100000}}) {
+        std::vector<double> heavy, ties, ascending, descending, mixed,
+            ulps, duplicates;
         for (std::size_t i = 0; i < n; ++i) {
             heavy.push_back(rng.exponential(1e6) *
                             (rng.uniform() < 0.01 ? 1e3 : 1.0));
             // A handful of distinct values: ties at every quantile.
             ties.push_back(static_cast<double>(rng.uniformInt(5)) * 0.1);
             ascending.push_back(static_cast<double>(i) * 1.5);
+            // Both signs, never -0.0 (a sort may put it either side
+            // of +0.0).
+            mixed.push_back(rng.uniform(-1e6, 1e6) + 0.5);
+            // A few ulps apart, after one far value that widens the
+            // span: all the others share one histogram bucket.
+            double v = i == 0 ? 1e12 : 1e6;
+            for (auto k = rng.uniformInt(8); k > 0; --k)
+                v = std::nextafter(v, 2e6);
+            ulps.push_back(v);
+            // One value nine times in ten, the rest spread out.
+            duplicates.push_back(rng.uniform() < 0.9 ? 7.0
+                                                     : rng.exponential(10.0));
         }
         descending.assign(ascending.rbegin(), ascending.rend());
         expectQuantilesMatchSort(heavy);
         expectQuantilesMatchSort(ties);
         expectQuantilesMatchSort(ascending);
         expectQuantilesMatchSort(descending);
+        expectQuantilesMatchSort(mixed);
+        expectQuantilesMatchSort(ulps);
+        expectQuantilesMatchSort(duplicates);
         expectQuantilesMatchSort(std::vector<double>(n, 42.25));
     }
 }
@@ -318,18 +336,19 @@ referenceSmoothStarts(std::vector<double> starts, double window_ns)
     return synth;
 }
 
-/** The events in start order by a pointer sort (the pairing order
- *  eventsByStart() must reproduce). */
+/** The events in start order by a stable pointer sort (the pairing
+ *  order eventsByStart() must reproduce: tied starts keep their
+ *  recording order). */
 std::vector<const LatencyEvent *>
 referenceByStart(const LatencyRecorder &rec)
 {
     std::vector<const LatencyEvent *> by_start;
     for (const auto &e : rec.events())
         by_start.push_back(&e);
-    std::sort(by_start.begin(), by_start.end(),
-              [](const LatencyEvent *a, const LatencyEvent *b) {
-                  return a->start < b->start;
-              });
+    std::stable_sort(by_start.begin(), by_start.end(),
+                     [](const LatencyEvent *a, const LatencyEvent *b) {
+                         return a->start < b->start;
+                     });
     return by_start;
 }
 
@@ -476,6 +495,85 @@ TEST_P(QuantileFuzz, SmoothingMatchesSortReference)
         }
         expectMatchesReference(few, "short");
     }
+}
+
+/** eventsByStart() against std::stable_sort by start, byte for byte:
+ *  the same events, tied starts in recording order. */
+void
+expectStableByStart(const LatencyRecorder &rec, const char *input)
+{
+    std::vector<LatencyEvent> want = rec.events();
+    std::stable_sort(want.begin(), want.end(),
+                     [](const LatencyEvent &a, const LatencyEvent &b) {
+                         return a.start < b.start;
+                     });
+    const auto got = rec.eventsByStart();
+    EXPECT_TRUE(got.size() == want.size() &&
+                (want.empty() ||
+                 std::memcmp(got.data(), want.data(),
+                             want.size() * sizeof want[0]) == 0))
+        << input << ", n " << rec.size();
+}
+
+TEST_P(QuantileFuzz, EventsByStartIsStableSortByStart)
+{
+    support::Rng rng(GetParam());
+    const auto draw = [&](LatencyRecorder &rec, double start) {
+        rec.record(start, start + rng.exponential(300.0));
+    };
+
+    // 16 ascending lanes recorded one after another, all starting at
+    // window_begin.
+    const std::vector<sim::RateSegment> timeline = {
+        {0.0, 4e8, 1.0}, {4e8, 4.5e8, 0.0}, {4.5e8, 1e9, 0.7}};
+    workloads::RequestProfile profile;
+    profile.enabled = true;
+    profile.count = 4000;
+    profile.lanes = 16;
+    expectStableByStart(
+        synthesizeRequests(timeline, 1.0, profile, 0.0, 1e9,
+                           support::Rng(static_cast<std::uint64_t>(
+                               GetParam()))),
+        "synthesizeRequests lanes");
+
+    LatencyRecorder equal;
+    for (int i = 0; i < 1000; ++i)
+        draw(equal, 5e8);
+    expectStableByStart(equal, "all-equal starts");
+
+    // One far start stretches the span: every other start shares the
+    // first bucket, which must not sort in quadratic time.
+    LatencyRecorder outlier;
+    for (int i = 0; i < 3000; ++i)
+        draw(outlier, i == 1500 ? 1e15 : rng.uniform(0.0, 1e6));
+    expectStableByStart(outlier, "one far outlier");
+
+    LatencyRecorder descending;
+    for (int i = 3000; i > 0; --i)
+        draw(descending, static_cast<double>(i) * 10.0);
+    expectStableByStart(descending, "descending starts");
+
+    expectStableByStart(latticeStarts(rng, 3000, 40, 250.0),
+                        "250 ns lattice");
+    // Twice as many lattice points as buckets: ties inside buckets
+    // that also hold other starts, which only insertion sorts.
+    expectStableByStart(latticeStarts(rng, 1000, 2000, 1.0),
+                        "dense lattice");
+
+    LatencyRecorder coarse;
+    for (int i = 0; i < 2000; ++i)
+        draw(coarse, 0x1p52 + static_cast<double>(rng.uniformInt(400)));
+    expectStableByStart(coarse, "starts near 2^52");
+
+    for (int n = 0; n <= 4; ++n) {
+        expectStableByStart(latticeStarts(rng, n, 3, 250.0),
+                            "short lattice");
+    }
+
+    // An infinite start leaves no finite span to bucket.
+    LatencyRecorder unbounded = latticeStarts(rng, 100, 10, 250.0);
+    unbounded.record(-std::numeric_limits<double>::infinity(), 0.0);
+    expectStableByStart(unbounded, "an infinite start");
 }
 
 TEST(ExportFileTest, WriteCsvFileRoundTrips)
