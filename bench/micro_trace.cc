@@ -3,8 +3,9 @@
  * Microbenchmarks of the tracing hot paths (google-benchmark). The
  * whole design rests on instrumentation being cheap enough to leave
  * compiled in: an enabled span costs a ring-buffer store, an event in
- * a disabled category costs one branch on the category mask, and a
- * null sink costs one pointer test at the call site.
+ * a disabled category costs one branch on the category mask, a null
+ * sink costs one pointer test at the call site, and a disabled hot
+ * counter costs one relaxed load.
  */
 
 #include <benchmark/benchmark.h>
@@ -106,68 +107,18 @@ BM_HistogramRecord(benchmark::State &state)
 }
 BENCHMARK(BM_HistogramRecord);
 
-/** Disabled hot-tier observe: one relaxed load and a branch — the
- *  price every hot-path probe pays when nobody is measuring. */
-void
-BM_HotObserveDisabled(benchmark::State &state)
-{
-    trace::hot::setEnabled(false);
-    double value = 1.0;
-    for (auto _ : state) {
-        trace::hot::observe(trace::hot::TimerQueueDepth, value);
-        value = value < 4096.0 ? value + 1.0 : 1.0;
-        benchmark::DoNotOptimize(value);
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HotObserveDisabled);
-
-/** Enabled hot-tier observe: a bounded constexpr-bound scan plus
- *  three relaxed fetch_adds; no mutex, no CAS loop. */
-void
-BM_HotObserveEnabled(benchmark::State &state)
-{
-    trace::hot::setEnabled(true);
-    double value = 1.0;
-    for (auto _ : state) {
-        trace::hot::observe(trace::hot::TimerQueueDepth, value);
-        value = value < 4096.0 ? value + 1.0 : 1.0;
-        benchmark::DoNotOptimize(value);
-    }
-    trace::hot::setEnabled(false);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HotObserveEnabled);
-
-/** Disabled hot-tier counter bump (the batched flush path's unit). */
+/** Disabled hot-tier counter bump: one relaxed load and a branch —
+ *  the price every hot-path counter pays when nobody is measuring. */
 void
 BM_HotCounterDisabled(benchmark::State &state)
 {
     trace::hot::setEnabled(false);
     for (auto _ : state) {
-        trace::hot::count(trace::hot::SimEvents, 1);
+        trace::hot::count(trace::hot::TimerOps, 1);
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HotCounterDisabled);
-
-/** Enabled hot-tier observe under contention: all benchmark threads
- *  hammer the same histogram (run with --benchmark_threads). */
-void
-BM_HotObserveEnabledContended(benchmark::State &state)
-{
-    trace::hot::setEnabled(true);
-    double value = static_cast<double>(state.thread_index() + 1);
-    for (auto _ : state) {
-        trace::hot::observe(trace::hot::PoolStealScan, value);
-        value = value < 64.0 ? value + 1.0 : 1.0;
-        benchmark::DoNotOptimize(value);
-    }
-    if (state.thread_index() == 0)
-        trace::hot::setEnabled(false);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_HotObserveEnabledContended)->Threads(1)->Threads(4);
 
 } // namespace
 

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "support/logging.hh"
-#include "trace/hot_metrics.hh"
 
 namespace capo::exec {
 
@@ -91,23 +90,10 @@ Pool::take(std::size_t self, Task &task)
     // ...then steal from peers (front: oldest, largest-grained work).
     for (std::size_t i = 1; i < deques_.size(); ++i) {
         auto &dq = *deques_[(self + i) % deques_.size()];
-        bool stolen = false;
-        {
-            std::lock_guard<std::mutex> lock(dq.mutex);
-            if (!dq.tasks.empty()) {
-                task = std::move(dq.tasks.front());
-                dq.tasks.pop_front();
-                stolen = true;
-            }
-        }
-        if (stolen) {
-            // Steal observability: how often workers go hunting and
-            // how far the scan travelled before finding work. Steals
-            // are task-grained (rare next to task bodies), so the
-            // per-steal hot-tier records cost nothing measurable.
-            trace::hot::count(trace::hot::PoolSteals);
-            trace::hot::observe(trace::hot::PoolStealScan,
-                                static_cast<double>(i));
+        std::lock_guard<std::mutex> lock(dq.mutex);
+        if (!dq.tasks.empty()) {
+            task = std::move(dq.tasks.front());
+            dq.tasks.pop_front();
             return true;
         }
     }

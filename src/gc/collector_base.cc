@@ -35,8 +35,6 @@ CollectorBase::shutdown()
 {
     shutdown_requested_ = true;
     engine().notifyAll(wake_cond_);
-    // Cell end for the collector: land the batched pause telemetry.
-    pause_.flushHotStats();
 }
 
 void

@@ -4,16 +4,13 @@
 #include "runtime/world.hh"
 #include "sim/engine.hh"
 #include "support/logging.hh"
+#include "trace/hot_metrics.hh"
 
 namespace capo::gc {
 
 void
 PauseProtocol::attach(CollectorBase &owner)
 {
-    // A previous run that hit the time limit never reached shutdown();
-    // its batched samples land here instead of vanishing with the
-    // pooled collector.
-    flushHotStats();
     owner_ = &owner;
     controller_ = sim::kInvalidAgent;
     token_ = 0;
@@ -55,8 +52,7 @@ PauseProtocol::finishPause(const runtime::CycleRecord *cycle,
     // Pacing reads post-cycle state and must re-apply before any
     // stalled mutator retries its allocation.
     owner_->onWorldResumed();
-    pause_wall_ns_.observe(now - pause_begin_);
-    pause_count_.add();
+    trace::hot::count(trace::hot::GcPauses);
     if (release_stalled) {
         engine.notifyAll(owner_->stallCond());
         owner_->injectPhaseAbort();
@@ -81,13 +77,6 @@ PauseProtocol::closeConcurrentPhase()
     auto &engine = owner_->engine();
     owner_->log().endPhase(token_, engine.now(),
                            engine.cpuTime(controller_) - cpu_mark_);
-}
-
-void
-PauseProtocol::flushHotStats()
-{
-    pause_wall_ns_.flush();
-    pause_count_.flush();
 }
 
 } // namespace capo::gc

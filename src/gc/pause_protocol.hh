@@ -18,10 +18,9 @@
  * phases (the concurrent trace leg) use beginConcurrentPhase() /
  * closeConcurrentPhase() with the same token and CPU bookkeeping.
  *
- * The protocol also owns the pause hot-tier metrics: per-pause wall
- * times accumulate locally (trace::hot::HistogramAccumulator) and land
- * in the shared cells in one batch at collector shutdown or re-attach
- * — the accumulator flush contract of DESIGN.md §14.
+ * finishPause() also counts each pause in the hot tier's `gc.pauses`
+ * as it closes (one gated relaxed load when the tier is off), so a
+ * pause that ends after collector shutdown still lands in its cell.
  *
  * Semantics-neutrality: tests/gc/pause_protocol_test.cc pins the
  * GcEventLog streams produced through this layer byte-identical to the
@@ -33,7 +32,6 @@
 
 #include "runtime/gc_event_log.hh"
 #include "sim/agent.hh"
-#include "trace/hot_metrics.hh"
 
 namespace capo::gc {
 
@@ -49,11 +47,8 @@ class CollectorBase;
 class PauseProtocol
 {
   public:
-    /**
-     * Wire to a (re-)attached collector. Resets every piece of pause
-     * state for pooled reuse and flushes any hot-tier samples a
-     * timed-out previous run left unflushed.
-     */
+    /** Wire to a (re-)attached collector. Resets every piece of
+     *  pause state for pooled reuse. */
     void attach(CollectorBase &owner);
 
     /**
@@ -92,10 +87,6 @@ class PauseProtocol
      *  records for pause-shaped cycles begin here). */
     sim::Time pauseBegin() const { return pause_begin_; }
 
-    /** Land accumulated pause samples in the hot tier (collector
-     *  shutdown; also called defensively from attach()). */
-    void flushHotStats();
-
   private:
     CollectorBase *owner_ = nullptr;
     sim::AgentId controller_ = sim::kInvalidAgent;
@@ -103,12 +94,6 @@ class PauseProtocol
     double cpu_mark_ = 0.0;
     sim::Time pause_begin_ = 0.0;
     bool stw_ = false;
-
-    /** @{ Batched pause telemetry (flush contract: DESIGN.md §14). */
-    trace::hot::HistogramAccumulator pause_wall_ns_{
-        trace::hot::GcPauseNs};
-    trace::hot::CounterAccumulator pause_count_{trace::hot::GcPauses};
-    /** @} */
 };
 
 } // namespace capo::gc

@@ -4,7 +4,6 @@
 #include "metrics/summary.hh"
 #include "report/codec.hh"
 #include "support/rng.hh"
-#include "trace/hot_metrics.hh"
 #include "workloads/registry.hh"
 
 namespace capo::harness {
@@ -90,7 +89,6 @@ runLatencySweep(const std::vector<std::string> &workload_names,
 
                 const auto set =
                     runner.run(workload, algorithm, factor);
-                trace::hot::count(trace::hot::SweepCellsCompleted);
                 if (set.allCompleted()) {
                     const auto &run = set.runs.front();
                     const auto &timed = run.iterations.back();

@@ -7,7 +7,6 @@
 #include "exec/pool.hh"
 #include "metrics/summary.hh"
 #include "support/logging.hh"
-#include "trace/hot_metrics.hh"
 
 namespace capo::harness {
 
@@ -165,7 +164,6 @@ runLboSweep(const workloads::Descriptor &workload,
             Runner runner(cell_options);
             cell.set =
                 runner.run(workload, cell.algorithm, cell.factor);
-            trace::hot::count(trace::hot::SweepCellsCompleted);
         },
         jobs);
 

@@ -9,7 +9,6 @@
 #include "metrics/summary.hh"
 #include "report/codec.hh"
 #include "support/rng.hh"
-#include "trace/hot_metrics.hh"
 #include "workloads/registry.hh"
 
 namespace capo::harness {
@@ -249,7 +248,6 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
                             cell.mode == "adaptive", options, cell,
                             &dispatches[i]);
             }
-            trace::hot::count(trace::hot::SweepCellsCompleted);
         },
         jobs);
 

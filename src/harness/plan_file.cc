@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -104,7 +105,9 @@ parseDouble(const std::string &value, int line, const char *what)
     try {
         std::size_t pos = 0;
         const double out = std::stod(value, &pos);
-        if (pos != value.size())
+        // stod accepts "nan" and "inf"; no plan value means either,
+        // and an infinite rate or a NaN burst spins the run forever.
+        if (pos != value.size() || !std::isfinite(out))
             fail(line, "bad ", what, " '", value, "'");
         return out;
     } catch (const ParseError &) {
@@ -114,6 +117,24 @@ parseDouble(const std::string &value, int line, const char *what)
     }
 }
 /** @} */
+
+/** Largest heap or load factor. Each scales a finite base (a
+ *  workload's minimum heap, the lanes' saturation rate), and far
+ *  enough past it the derived heap or arrival rate overflows to
+ *  infinity: an infinite rate draws zero gaps and never ends its
+ *  cell. No experiment comes near a million times either base. */
+constexpr double kMaxFactor = 1e6;
+
+double
+parseFactor(const std::string &value, int line, const char *what)
+{
+    const double factor = parseDouble(value, line, what);
+    if (factor <= 0.0)
+        fail(line, what, " must be positive, got ", value);
+    if (factor > kMaxFactor)
+        fail(line, what, " must be at most 1e6, got ", value);
+    return factor;
+}
 
 std::vector<std::string>
 resolveWorkloads(const std::string &value, int line)
@@ -239,13 +260,8 @@ parsePlan(const std::string &text)
         } else if (key == "heap_factors") {
             plan.heap_factors.clear();
             for (const auto &item : splitList(value)) {
-                const double factor =
-                    parseDouble(item, line_no, "heap factor");
-                if (factor <= 0.0) {
-                    fail(line_no, "heap factor must be positive, got ",
-                         item);
-                }
-                plan.heap_factors.push_back(factor);
+                plan.heap_factors.push_back(
+                    parseFactor(item, line_no, "heap factor"));
             }
             if (plan.heap_factors.empty())
                 fail(line_no, "empty heap_factors");
@@ -307,13 +323,8 @@ parsePlan(const std::string &text)
         } else if (key == "rate") {
             plan.load_factors.clear();
             for (const auto &item : splitList(value)) {
-                const double factor =
-                    parseDouble(item, line_no, "load factor");
-                if (factor <= 0.0) {
-                    fail(line_no, "load factor must be positive, got ",
-                         item);
-                }
-                plan.load_factors.push_back(factor);
+                plan.load_factors.push_back(
+                    parseFactor(item, line_no, "load factor"));
             }
             if (plan.load_factors.empty())
                 fail(line_no, "empty rate list");

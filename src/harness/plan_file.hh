@@ -11,7 +11,7 @@
  *     experiment   = lbo            # lbo | latency | minheap | openloop
  *     workloads    = lusearch, h2   # names, or "all" / "latency"
  *     collectors   = serial, g1, zgc  # or "production" / "all"
- *     heap_factors = 1.5, 2, 3, 6
+ *     heap_factors = 1.5, 2, 3, 6   # x min heap, in (0, 1e6]
  *     iterations   = 5
  *     invocations  = 10
  *     jobs         = 4              # parallel cells; 0 = all threads

@@ -220,27 +220,11 @@ Runner::executeInvocation(const workloads::Descriptor &workload,
                           trace::TraceSink *shard,
                           runtime::LoadGenerator *load) const
 {
-    // Per-cell setup cost is a prime parallel-scaling suspect (see
-    // ROADMAP "raw speed"); measure it into the lock-free hot tier so
-    // sweeps at any --jobs can observe it without serializing. The
-    // clock reads themselves hide behind the gate so a disabled probe
-    // costs one load+branch, not two syscall-backed clock reads.
-    const bool probe = trace::hot::enabled();
-    std::chrono::steady_clock::time_point setup_begin;
-    if (probe)
-        setup_begin = std::chrono::steady_clock::now();
     const auto &setup = cachedSetup(workload, options_.machine,
                                     options_.size,
                                     options_.iterations);
     auto &collector =
         cachedCollector(algorithm, setup.pointer_footprint);
-    if (probe) {
-        trace::hot::observe(
-            trace::hot::CellSetupNs,
-            std::chrono::duration<double, std::nano>(
-                std::chrono::steady_clock::now() - setup_begin)
-                .count());
-    }
 
     runtime::ExecutionConfig config;
     config.cpus = options_.machine.cpus;

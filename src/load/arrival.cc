@@ -36,7 +36,8 @@ ArrivalGenerator::ArrivalGenerator(const ArrivalSpec &spec,
                                    support::Rng rng)
     : spec_(spec), rng_(rng)
 {
-    CAPO_ASSERT(spec_.rate_per_sec > 0.0, "arrival rate must be positive");
+    CAPO_ASSERT(spec_.rate_per_sec > 0.0 && std::isfinite(spec_.rate_per_sec),
+                "arrival rate must be positive and finite");
     if (spec_.kind == ArrivalKind::OnOff) {
         CAPO_ASSERT(spec_.burst_ratio >= 1.0 && spec_.burst_duty > 0.0 &&
                         spec_.burst_duty < 1.0 &&

@@ -1,6 +1,7 @@
 #include "runtime/execution.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 
 #include "runtime/worker_context.hh"
@@ -13,7 +14,8 @@ ExecutionResult
 runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
              const heap::LiveSetModel &live, CollectorRuntime &collector)
 {
-    CAPO_ASSERT(config.heap_bytes > 0.0, "execution needs a heap size");
+    CAPO_ASSERT(config.heap_bytes > 0.0 && std::isfinite(config.heap_bytes),
+                "execution needs a finite heap size");
 
     // Per-worker reuse: the arena backs the engine's containers (reset
     // per run) and the pooled world keeps its capacity. See

@@ -21,12 +21,6 @@ MutatorGroup::MutatorGroup(const MutatorPlan &plan, Allocator &allocator,
                 "bad chunk bounds");
 }
 
-MutatorGroup::~MutatorGroup()
-{
-    stall_ns_.flush();
-    stall_count_.flush();
-}
-
 void
 MutatorGroup::attach(sim::Engine &engine, World &world)
 {
@@ -141,11 +135,6 @@ MutatorGroup::resume(sim::Engine &engine)
               case AllocVerdict::Granted:
                 if (stall_begin_ >= 0.0) {
                     log_.recordStall(stall_begin_, engine.now());
-                    // Hot-tier stall probe (sim-ns), batched: samples
-                    // stay in run-local buckets and hit the shared
-                    // atomic cells once, at group destruction.
-                    stall_ns_.observe(engine.now() - stall_begin_);
-                    stall_count_.add();
                     if (sink_) {
                         sink_->endSpan(track_, trace::Category::Runtime,
                                        "alloc-stall", engine.now());

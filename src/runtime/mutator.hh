@@ -25,7 +25,6 @@
 #include "runtime/world.hh"
 #include "sim/agent.hh"
 #include "support/rng.hh"
-#include "trace/hot_metrics.hh"
 
 namespace capo::runtime {
 
@@ -87,10 +86,6 @@ class MutatorGroup : public sim::Agent
      */
     MutatorGroup(const MutatorPlan &plan, Allocator &allocator,
                  heap::HeapSpace &heap, GcEventLog &log, support::Rng rng);
-
-    /** Lands the batched stall telemetry; the group lives on the
-     *  executor's stack, so this covers every exit path. */
-    ~MutatorGroup();
 
     /** Register with the engine and the stoppable world. */
     void attach(sim::Engine &engine, World &world);
@@ -164,12 +159,6 @@ class MutatorGroup : public sim::Agent
 
     trace::TraceSink *sink_ = nullptr;
     trace::TrackId track_ = 0;
-
-    /** @{ Batched stall telemetry: samples accumulate locally and
-     *  flush once, in the destructor (DESIGN.md §14). */
-    trace::hot::HistogramAccumulator stall_ns_{trace::hot::AllocStallNs};
-    trace::hot::CounterAccumulator stall_count_{trace::hot::AllocStalls};
-    /** @} */
 
     std::vector<IterationRecord> iterations_;
 };

@@ -464,18 +464,11 @@ Engine::stageSleep(AgentSlot &slot, AgentId id, Time until)
     const Time due = std::max(requested, now_);
     slot.state = State::Sleeping;
     slot.sleep_token = ++timer_seq_;
+    trace::hot::count(trace::hot::TimerOps);
     // Staged, not pushed: drainPending() bulk-inserts the whole
     // burst in one heap operation. Due times only matter to the
     // next advance(), which runs after the drain flushes.
     timer_staging_.push_back(Timer{due, timer_seq_, id, slot.sleep_token});
-    // Sampled depth probe: every 1024th push records the queue
-    // depth into the lock-free hot tier (the stride keeps the
-    // atomic traffic negligible against millions of timer ops).
-    if ((timer_seq_ & 1023) == 0) {
-        trace::hot::observe(trace::hot::TimerQueueDepth,
-                            static_cast<double>(timers_.size() +
-                                                timer_staging_.size()));
-    }
 }
 
 void
@@ -516,7 +509,6 @@ Engine::startStagedCompute(AgentId id)
 void
 Engine::drainPending()
 {
-    ++drain_calls_;
     std::uint64_t burst = 0;
     while (!pending_.empty()) {
         const AgentId id = pending_.pop();
@@ -542,12 +534,6 @@ Engine::drainPending()
         const Action action = slot.agent->resume(*this);
         current_ = kInvalidAgent;
         apply(id, action);
-    }
-    // Sampled burst-size probe (same stride rationale as the timer
-    // depth probe: drainPending runs once per event-loop step).
-    if (burst > 0 && (drain_calls_ & 1023) == 0) {
-        trace::hot::observe(trace::hot::DispatchBurst,
-                            static_cast<double>(burst));
     }
     if (!timer_staging_.empty()) {
         timers_.pushBulk(timer_staging_.begin(), timer_staging_.end());
@@ -703,14 +689,6 @@ Engine::run(Time until)
         drainPending();
     }
     closeOpenSpans();
-    // Flush this run's dispatch/timer totals into the hot tier in one
-    // batch each: per-event atomics would serialize the workers on a
-    // shared cache line, a batched flush is two fetch_adds per run.
-    trace::hot::count(trace::hot::SimEvents,
-                      dispatches_ - dispatches_flushed_);
-    trace::hot::count(trace::hot::TimerOps, timer_seq_ - timers_flushed_);
-    dispatches_flushed_ = dispatches_;
-    timers_flushed_ = timer_seq_;
     return reason;
 }
 

@@ -265,7 +265,7 @@ class Engine
     void wake(AgentId id);
 
     /** Arm @p slot's sleep timer for @p until (staged bulk insert,
-     *  fault jitter, sampled depth probe). */
+     *  fault jitter, the hot tier's timer-op count). */
     void stageSleep(AgentSlot &slot, AgentId id, Time until);
 
     /**
@@ -337,13 +337,6 @@ class Engine
     std::size_t live_agents_ = 0;
     std::uint64_t timer_seq_ = 0;
     std::uint64_t dispatches_ = 0;
-
-    /** @{ Hot-metrics bookkeeping: totals already flushed to the hot
-     *  tier, and a call counter for sampled probes. */
-    std::uint64_t dispatches_flushed_ = 0;
-    std::uint64_t timers_flushed_ = 0;
-    std::uint64_t drain_calls_ = 0;
-    /** @} */
     AgentId current_ = kInvalidAgent;
     bool running_ = false;
 

@@ -1,11 +1,29 @@
 #include "support/flags.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 #include "support/logging.hh"
 
 namespace capo::support {
+
+namespace {
+
+/** stod limited to finite values: no flag takes inf or nan, and inf
+ *  passes the `>= 0` range checks callers make. */
+bool
+parseFinite(const std::string &text, double &out)
+{
+    try {
+        out = std::stod(text);
+    } catch (...) {
+        return false;
+    }
+    return std::isfinite(out);
+}
+
+} // namespace
 
 Flags::Flags(std::string description)
     : description_(std::move(description))
@@ -158,15 +176,16 @@ Flags::valuesValid(std::string &error) const
                 return false;
             }
             break;
-        case Kind::Double:
-            try {
-                (void)std::stod(flag.value);
-            } catch (...) {
-                error = "flag --" + name + " expects a number, got '" +
-                        flag.value + "'";
+        case Kind::Double: {
+            double value = 0.0;
+            if (!parseFinite(flag.value, value)) {
+                error = "flag --" + name +
+                        " expects a finite number, got '" + flag.value +
+                        "'";
                 return false;
             }
             break;
+        }
         case Kind::Bool:
             if (flag.value != "true" && flag.value != "1" &&
                 flag.value != "yes" && flag.value != "false" &&
@@ -213,11 +232,12 @@ double
 Flags::getDouble(const std::string &name) const
 {
     const auto &flag = find(name, Kind::Double);
-    try {
-        return std::stod(flag.value);
-    } catch (...) {
-        fatal("flag --", name, " expects a number, got '", flag.value, "'");
+    double value = 0.0;
+    if (!parseFinite(flag.value, value)) {
+        fatal("flag --", name, " expects a finite number, got '", flag.value,
+              "'");
     }
+    return value;
 }
 
 bool

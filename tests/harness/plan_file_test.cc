@@ -155,6 +155,20 @@ TEST(PlanFileTest, RejectsMalformedNumericValues)
     expectParseError("faults = alloc=2.0\n", "rate");
     expectParseError("trace_categories = bogus\n",
                      "unknown trace category");
+    // Non-finite values parse with stod but hang or corrupt a run: an
+    // infinite or NaN rate spins the open-loop load generator, a NaN
+    // heap factor runs a 0 MB heap.
+    expectParseError("heap_factors = nan\n", "bad heap factor");
+    expectParseError("heap_factors = inf\n", "bad heap factor");
+    expectParseError("rate = nan\n", "bad load factor");
+    expectParseError("rate = inf\n", "bad load factor");
+    expectParseError("burst = nan:0.3\n", "bad burst ratio");
+    expectParseError("burst = 4:nan\n", "bad burst duty");
+    expectParseError("metrics_interval = inf\n", "bad metrics_interval");
+    // Finite factors that overflow the derived rate or heap to infinity.
+    expectParseError("rate = 1e308\n", "load factor must be at most");
+    expectParseError("heap_factors = 1e308\n",
+                     "heap factor must be at most");
 }
 
 TEST(PlanFileTest, ParsesResilienceKeys)

@@ -259,6 +259,23 @@ TEST(FlagsTest, SingleDashFormsForDeclaredNames)
     EXPECT_EQ(flags.positionals()[1], "bench");
 }
 
+TEST(FlagsTest, DoublesMustBeFinite)
+{
+    // stod reads "inf" and "nan"; runbms --metrics-interval inf passed
+    // its `>= 0` check and overrode the plan file's finite-only value.
+    for (const char *value : {"inf", "-inf", "nan", "1e999"}) {
+        Flags flags("test");
+        flags.addDouble("metrics-interval", -1.0, "sampling period");
+        const char *argv[] = {"prog", "--metrics-interval", value};
+        std::string error;
+        ASSERT_TRUE(flags.tryParse(3, argv, error)) << error;
+        EXPECT_FALSE(flags.valuesValid(error)) << value;
+        EXPECT_NE(error.find("--metrics-interval"), std::string::npos);
+        EXPECT_EXIT((void)flags.getDouble("metrics-interval"),
+                    ::testing::ExitedWithCode(1), "finite number");
+    }
+}
+
 TEST(FlagsTest, UsageMentionsFlags)
 {
     Flags flags("demo tool");
