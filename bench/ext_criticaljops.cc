@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "bench/bench_common.hh"
-#include "support/logging.hh"
 #include "metrics/request_synth.hh"
 #include "metrics/summary.hh"
 #include "workloads/registry.hh"
@@ -25,9 +24,9 @@ int
 runExtCriticalJops(report::ExperimentContext &context)
 {
     const auto &workload =
-        workloads::byName(context.flags.getString("workload"));
-    if (!workload.latency_sensitive)
-        support::fatal("pick a latency-sensitive workload");
+        bench::latencyWorkload(context.flags.getString("workload"));
+    const double factor = harness::parseFactor(
+        context.flags.getString("factor"), "heap factor");
 
     harness::ExperimentOptions options = context.options;
     options.invocations = 1;
@@ -52,8 +51,7 @@ runExtCriticalJops(report::ExperimentContext &context)
                              "critical-jOPS", "p99 @ critical (ms)"});
 
     for (auto algorithm : gc::productionCollectors()) {
-        const auto set = runner.run(workload, algorithm,
-                                    context.flags.getDouble("factor"));
+        const auto set = runner.run(workload, algorithm, factor);
         if (!set.allCompleted()) {
             table.row({gc::algorithmName(algorithm), "DNF", "-", "-"});
             jops.addRow(
@@ -113,7 +111,7 @@ const report::RegisterExperiment kRegister{[] {
     e.quick_invocations = 1;
     e.quick_iterations = 3;
     e.add_flags = [](support::Flags &flags) {
-        flags.addDouble("factor", 3.0, "heap factor (x min heap)");
+        flags.addString("factor", "3", "heap factor (x min heap)");
         flags.addString("workload", "cassandra",
                         "latency-sensitive workload to load");
     };

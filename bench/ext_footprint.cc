@@ -24,11 +24,11 @@ runExtFootprint(report::ExperimentContext &context)
     auto options = context.options;
     options.invocations = 1;
     harness::Runner runner(options);
-    const double factor = context.flags.getDouble("factor");
+    const double factor = harness::parseFactor(
+        context.flags.getString("factor"), "heap factor");
 
-    std::vector<std::string> selection = context.flags.positionals();
-    if (selection.empty())
-        selection = {"lusearch", "h2", "cassandra", "pmd", "xalan"};
+    const auto selection = bench::selectedWorkloads(
+        context, {"lusearch", "h2", "cassandra", "pmd", "xalan"});
 
     auto &footprint = context.store.table(
         "footprint",
@@ -98,7 +98,7 @@ const report::RegisterExperiment kRegister{[] {
     e.quick_invocations = 1;
     e.quick_iterations = 2;
     e.add_flags = [](support::Flags &flags) {
-        flags.addDouble("factor", 3.0, "heap factor (x min heap)");
+        flags.addString("factor", "3", "heap factor (x min heap)");
     };
     e.run = runExtFootprint;
     return e;

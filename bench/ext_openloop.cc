@@ -12,130 +12,39 @@
  */
 
 #include <iostream>
-#include <sstream>
 
 #include "bench/bench_common.hh"
-#include "harness/openloop_experiment.hh"
-#include "support/logging.hh"
-#include "workloads/registry.hh"
 
 using namespace capo;
 
 namespace {
 
-std::vector<std::string>
-splitList(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(text);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-        const auto begin = item.find_first_not_of(" \t");
-        const auto end = item.find_last_not_of(" \t");
-        if (begin != std::string::npos)
-            out.push_back(item.substr(begin, end - begin + 1));
-    }
-    return out;
-}
-
 int
 runExtOpenLoop(report::ExperimentContext &context)
 {
-    const auto &workload =
-        workloads::byName(context.flags.getString("workload"));
-    if (!workload.latency_sensitive)
-        support::fatal("pick a latency-sensitive workload");
-
-    harness::OpenLoopSweepOptions sweep;
-    sweep.base = context.options;
-    sweep.heap_factor = context.flags.getDouble("factor");
-    sweep.lanes = static_cast<int>(context.flags.getInt("lanes"));
-
-    sweep.load_factors.clear();
-    for (const auto &item :
-         splitList(context.flags.getString("rates"))) {
-        const double factor = std::stod(item);
-        if (factor <= 0.0)
-            support::fatal("load factors must be positive");
-        sweep.load_factors.push_back(factor);
-    }
-    if (sweep.load_factors.empty())
-        support::fatal("empty --rates list");
-
-    sweep.modes.clear();
-    for (const auto &mode :
-         splitList(context.flags.getString("modes"))) {
-        if (mode != "closed" && mode != "static" && mode != "adaptive")
-            support::fatal("unknown mode (closed|static|adaptive)");
-        sweep.modes.push_back(mode);
-    }
-    if (sweep.modes.empty())
-        support::fatal("empty --modes list");
-
-    if (!load::tryArrivalKindFromName(
-            context.flags.getString("arrival"), &sweep.arrival.kind))
-        support::fatal("unknown arrival (poisson|onoff|diurnal)");
-
-    auto &out = context.store.table(
-        "openloop",
-        report::Schema{{"workload", report::Type::String},
-                       {"collector", report::Type::String},
-                       {"mode", report::Type::String},
-                       {"load", report::Type::Double},
-                       {"completed", report::Type::Bool},
-                       {"arrival_p50_ms", report::Type::Double},
-                       {"arrival_p99_ms", report::Type::Double},
-                       {"arrival_p999_ms", report::Type::Double},
-                       {"service_p50_ms", report::Type::Double},
-                       {"service_p99_ms", report::Type::Double},
-                       {"service_p999_ms", report::Type::Double},
-                       {"goodput_rps", report::Type::Double},
-                       {"utility", report::Type::Double},
-                       {"mean_pace", report::Type::Double},
-                       {"shed", report::Type::Double}});
-
-    const auto result =
-        harness::runOpenLoopSweep({workload.name}, sweep);
-
-    bench::AsciiTable table({"collector", "mode", "load", "p50(arr)",
-                             "p99(arr)", "p99(srv)", "goodput",
-                             "utility", "pace"});
-    for (const auto &cell : result.cells) {
-        if (cell.ok) {
-            table.row({cell.collector, cell.mode,
-                       support::fixed(cell.load_factor, 2),
-                       support::fixed(cell.arrival_p50_ns / 1e6, 3),
-                       support::fixed(cell.arrival_p99_ns / 1e6, 3),
-                       support::fixed(cell.service_p99_ns / 1e6, 3),
-                       support::fixed(cell.goodput_rps, 1),
-                       support::fixed(cell.utility, 2),
-                       support::fixed(cell.mean_pace, 2)});
-        } else {
-            table.row({cell.collector, cell.mode,
-                       support::fixed(cell.load_factor, 2), "DNF", "-",
-                       "-", "-", "-", "-"});
-        }
-        out.addRow({report::Value::str(cell.workload),
-                    report::Value::str(cell.collector),
-                    report::Value::str(cell.mode),
-                    report::Value::dbl(cell.load_factor),
-                    report::Value::boolean(cell.ok),
-                    report::Value::dbl(cell.arrival_p50_ns / 1e6),
-                    report::Value::dbl(cell.arrival_p99_ns / 1e6),
-                    report::Value::dbl(cell.arrival_p999_ns / 1e6),
-                    report::Value::dbl(cell.service_p50_ns / 1e6),
-                    report::Value::dbl(cell.service_p99_ns / 1e6),
-                    report::Value::dbl(cell.service_p999_ns / 1e6),
-                    report::Value::dbl(cell.goodput_rps),
-                    report::Value::dbl(cell.utility),
-                    report::Value::dbl(cell.mean_pace),
-                    report::Value::dbl(cell.shed)});
-    }
-    table.render(std::cout);
+    const auto &flags = context.flags;
+    // --rates, --modes and --arrival take the openloop plan's rate,
+    // pacing and arrival values, so its validators check them.
+    harness::ExperimentPlan plan;
+    plan.workloads = {
+        bench::latencyWorkload(flags.getString("workload")).name};
+    plan.collectors = {gc::Algorithm::Shenandoah};
+    plan.heap_factors = {
+        harness::parseFactor(flags.getString("factor"), "heap factor")};
+    plan.options = context.options;
+    harness::applyPlanKey(plan, "rate", flags.getString("rates"));
+    harness::applyPlanKey(plan, "pacing", flags.getString("modes"));
+    harness::applyPlanKey(plan, "arrival", flags.getString("arrival"));
+    // A cell's cost grows faster than its lane count (at load 1.2, 64
+    // lanes run in 0.8 s, 256 in 9 s, 1024 for minutes).
+    bench::openLoopSweep(
+        plan, context,
+        static_cast<int>(bench::boundedInt(flags, "lanes", 1, 64)),
+        false);
 
     std::cout <<
-        "\np99(arr) stamps latency from each request's arrival, so the\n"
-        "gap to p99(srv) is the coordinated-omission error; 'closed'\n"
+        "\narrival_p99 stamps latency from each request's arrival, so its\n"
+        "gap to service_p99 is the coordinated-omission error; 'closed'\n"
         "synthesizes traffic post hoc while 'static'/'adaptive' attach\n"
         "live open-loop agents under the named GC pacing policy.\n";
     return 0;
@@ -151,16 +60,17 @@ const report::RegisterExperiment kRegister{[] {
     e.quick_invocations = 1;
     e.quick_iterations = 2;
     e.add_flags = [](support::Flags &flags) {
-        flags.addDouble("factor", 2.0, "heap factor (x min heap)");
+        flags.addString("factor", "2", "heap factor (x min heap)");
         flags.addString("workload", "lusearch",
                         "latency-sensitive workload to load");
         flags.addString("rates", "0.5,1.2",
-                        "load factors (1.0 = lane saturation)");
+                        "load factors (1.0 = lane saturation), in "
+                        "(0, 100]");
         flags.addString("arrival", "poisson",
                         "arrival process (poisson|onoff|diurnal)");
         flags.addString("modes", "closed,static,adaptive",
                         "comparison modes to run");
-        flags.addInt("lanes", 8, "open-loop service lanes");
+        flags.addInt("lanes", 8, "open-loop service lanes (1 to 64)");
     };
     e.run = runExtOpenLoop;
     return e;

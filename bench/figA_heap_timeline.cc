@@ -21,12 +21,10 @@ runFigAHeapTimeline(report::ExperimentContext &context)
     auto options = context.options;
     options.invocations = 1;
     harness::Runner runner(options);
-    const auto buckets =
-        static_cast<std::size_t>(context.flags.getInt("buckets"));
-
-    std::vector<std::string> selection = context.flags.positionals();
-    if (selection.empty())
-        selection = workloads::names();
+    const auto buckets = static_cast<std::size_t>(
+        bench::boundedInt(context.flags, "buckets", 1, 100));
+    const auto selection =
+        bench::selectedWorkloads(context, workloads::names());
 
     auto &timeline = context.store.table(
         "heap_timeline",
@@ -100,7 +98,8 @@ const report::RegisterExperiment kRegister{[] {
     e.quick_invocations = 1;
     e.quick_iterations = 2;
     e.add_flags = [](support::Flags &flags) {
-        flags.addInt("buckets", 12, "time buckets per workload series");
+        flags.addInt("buckets", 12,
+                     "time buckets per workload series (1 to 100)");
     };
     e.run = runFigAHeapTimeline;
     return e;

@@ -17,11 +17,10 @@ namespace {
 int
 runFigALatencyAll(report::ExperimentContext &context)
 {
-    std::vector<std::string> selection = context.flags.positionals();
-    if (selection.empty()) {
-        for (const auto *workload : workloads::latencySensitive())
-            selection.push_back(workload->name);
-    }
+    std::vector<std::string> latency;
+    for (const auto *workload : workloads::latencySensitive())
+        latency.push_back(workload->name);
+    const auto selection = bench::selectedWorkloads(context, latency);
 
     for (const auto &name : selection) {
         std::cerr << "  measuring " << name << "...\n";

@@ -69,7 +69,7 @@ runTab03(report::ExperimentContext &context)
 
     const auto table = stats::shippedStats();
     if (!context.flags.positionals().empty()) {
-        for (const auto &name : context.flags.positionals())
+        for (const auto &name : bench::selectedWorkloads(context, {}))
             printWorkloadTable(table, workloads::byName(name), rows);
         return 0;
     }

@@ -9,7 +9,6 @@
 #include <iostream>
 
 #include "bench/bench_common.hh"
-#include "harness/minheap.hh"
 #include "workloads/registry.hh"
 
 using namespace capo;
@@ -19,49 +18,23 @@ namespace {
 int
 runTabAMinheap(report::ExperimentContext &context)
 {
-    auto options = context.options;
+    harness::ExperimentPlan plan;
+    plan.workloads = bench::selectedWorkloads(context, workloads::names());
+    plan.collectors = gc::productionCollectors();
+    plan.options = context.options;
+    const auto grid = bench::minHeapSweep(plan, context, false);
 
-    auto &minheap = context.store.table(
-        "minheap",
-        report::Schema{{"workload", report::Type::String},
-                       {"collector", report::Type::String},
-                       {"converged", report::Type::Bool},
-                       {"min_heap_mb", report::Type::Double}});
-
-    std::vector<std::string> header = {"workload", "GMD (shipped)"};
-    for (auto algorithm : gc::productionCollectors())
-        header.push_back(gc::algorithmName(algorithm));
-    header.push_back("ZGC*/G1");
-    bench::AsciiTable table(header);
-
-    std::vector<std::string> selection = context.flags.positionals();
-    if (selection.empty())
-        selection = workloads::names();
-
-    for (const auto &name : selection) {
-        const auto &workload = workloads::byName(name);
-        std::cerr << "  bisecting " << name << "...\n";
-        std::vector<std::string> row = {
-            name, support::fixed(workload.gc.gmd_mb, 0) + " MB"};
-        double g1 = 0.0, zgc = 0.0;
-        for (auto algorithm : gc::productionCollectors()) {
-            const auto found =
-                harness::findMinHeapMb(workload, algorithm, options);
-            row.push_back(found.converged
-                              ? support::fixed(found.min_heap_mb, 1)
-                              : "?");
-            minheap.addRow(
-                {report::Value::str(name),
-                 report::Value::str(gc::algorithmName(algorithm)),
-                 report::Value::boolean(found.converged),
-                 report::Value::dbl(found.min_heap_mb)});
-            if (algorithm == gc::Algorithm::G1)
-                g1 = found.min_heap_mb;
-            if (algorithm == gc::Algorithm::Zgc)
-                zgc = found.min_heap_mb;
-        }
-        row.push_back(g1 > 0.0 ? support::fixed(zgc / g1, 2) : "-");
-        table.row(row);
+    std::cout << "\n";
+    bench::AsciiTable table({"workload", "GMD (shipped)", "G1", "ZGC*",
+                             "ZGC*/G1"});
+    for (const auto &name : plan.workloads) {
+        const double g1 = grid.at(name, gc::Algorithm::G1)->min_heap_mb;
+        const double zgc = grid.at(name, gc::Algorithm::Zgc)->min_heap_mb;
+        table.row({name,
+                   support::fixed(workloads::byName(name).gc.gmd_mb, 0) +
+                       " MB",
+                   support::fixed(g1, 1), support::fixed(zgc, 1),
+                   g1 > 0.0 ? support::fixed(zgc / g1, 2) : "-"});
     }
     table.render(std::cout);
     std::cout << "\nZGC runs without compressed pointers, so its "

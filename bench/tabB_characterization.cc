@@ -38,9 +38,8 @@ runTabB(report::ExperimentContext &context)
     options.psd_invocations = 3;
     options.warmup_iterations = 8;
 
-    std::vector<std::string> selection = context.flags.positionals();
-    if (selection.empty())
-        selection = {"fop", "lusearch", "h2", "cassandra", "xalan"};
+    const auto selection = bench::selectedWorkloads(
+        context, {"fop", "lusearch", "h2", "cassandra", "xalan"});
 
     const auto shipped = stats::shippedStats();
 

@@ -22,13 +22,11 @@ int
 runTabC(report::ExperimentContext &context)
 {
     bytecode::CharacterizeOptions options;
-    options.instruction_budget =
-        static_cast<std::uint64_t>(context.flags.getInt("budget"));
-
-    std::vector<std::string> selection = context.flags.positionals();
-    if (selection.empty())
-        selection = {"lusearch", "h2", "fop", "pmd", "luindex",
-                     "sunflow", "jython"};
+    options.instruction_budget = static_cast<std::uint64_t>(
+        bench::boundedInt(context.flags, "budget", 1, 1'000'000'000));
+    const auto selection = bench::selectedWorkloads(
+        context,
+        {"lusearch", "h2", "fop", "pmd", "luindex", "sunflow", "jython"});
 
     auto &bytecode_stats = context.store.table(
         "bytecode_stats",
@@ -102,7 +100,8 @@ const report::RegisterExperiment kRegister{[] {
         "Section 5.1: bytecode-instrumented A/B statistics";
     e.add_flags = [](support::Flags &flags) {
         flags.addInt("budget", 8'000'000,
-                     "instructions to execute per workload");
+                     "instructions to execute per workload (1 to "
+                     "1e9)");
     };
     e.run = runTabC;
     return e;

@@ -16,7 +16,7 @@
 #include <iostream>
 #include <memory>
 
-#include "fault/fault.hh"
+#include "harness/plan_file.hh"
 #include "harness/runner.hh"
 #include "metrics/export.hh"
 #include "runtime/gc_log.hh"
@@ -69,17 +69,18 @@ int
 main(int argc, char **argv)
 {
     support::Flags flags("dacapo-style runner for the simulated suite");
-    flags.addInt("n", 5, "iterations (the last is timed)");
-    flags.addInt("invocations", 1, "invocations of the benchmark");
-    flags.addInt("jobs", 1,
-                 "invocations to run concurrently (0 = all hardware "
-                 "threads); results are identical for any value");
+    flags.addString("n", "5", "iterations (the last is timed)");
+    flags.addString("invocations", "1", "invocations of the benchmark");
+    flags.addString("jobs", "1",
+                    "invocations to run concurrently (0 = all hardware "
+                    "threads); results are identical for any value");
     flags.addAlias("j", "jobs");
     flags.addString("gc", "g1", "collector");
-    flags.addDouble("heap-factor", 2.0,
-                    "heap as a multiple of the minimum (GMD)");
-    flags.addDouble("heap-mb", 0.0, "explicit -Xmx in MB (overrides "
-                                    "--heap-factor)");
+    flags.addString("heap-factor", "2",
+                    "heap as a multiple of the minimum (GMD), in "
+                    "(0, 1e6]");
+    flags.addString("heap-mb", "0", "explicit -Xmx in MB, in (0, 1e6] "
+                                    "(0 = use --heap-factor)");
     flags.addString("size", "default",
                     "input size: small | default | large | vlarge");
     flags.addBool("p", false, "print nominal statistics and exit");
@@ -87,13 +88,13 @@ main(int argc, char **argv)
                     "save raw request latencies to this CSV file");
     flags.addBool("verbose-gc", false,
                   "print an -Xlog:gc style collector log");
-    flags.addInt("seed", 0x5eed, "random seed");
+    flags.addString("seed", std::to_string(0x5eed), "random seed");
     flags.addString("trace-out", "",
                     "write a Chrome/Perfetto trace-event JSON file");
     flags.addString("trace-categories", "all",
                     "categories to trace: sim,runtime,gc,harness,"
                     "metrics | all | none");
-    flags.addDouble("metrics-interval", 10.0,
+    flags.addString("metrics-interval", "10",
                     "counter sampling period in sim-ms (0 disables)");
     flags.addString("metrics-csv", "",
                     "save sampled-metrics summary to this CSV file");
@@ -102,9 +103,9 @@ main(int argc, char **argv)
                     "'alloc=0.01,gc=0.005' ('none' disables); a "
                     "faulted run that fails exits 0 with the failure "
                     "quarantined in the report");
-    flags.addInt("retries", 0,
-                 "extra attempts per faulty invocation (only "
-                 "meaningful with --faults)");
+    flags.addString("retries", "0",
+                    "extra attempts per faulty invocation (only "
+                    "meaningful with --faults)");
     flags.parse(argc, argv);
 
     if (flags.positionals().size() != 1) {
@@ -114,28 +115,40 @@ main(int argc, char **argv)
         std::cerr << "\n";
         return 2;
     }
-    const auto &workload = workloads::byName(flags.positionals()[0]);
+    // A scratch plan, so the plan keys' validators check the values:
+    // a bad one exits 2 instead of running a 0 MB or an infinite heap,
+    // or silently running the default size.
+    harness::ExperimentPlan plan;
+    double heap_factor = 0.0, heap_mb = 0.0;
+    const workloads::Descriptor *found = nullptr;
+    try {
+        found = &harness::resolveWorkload(flags.positionals()[0]);
+        heap_factor = harness::parseFactor(flags.getString("heap-factor"),
+                                           "--heap-factor");
+        if (flags.getString("heap-mb") != "0")
+            heap_mb = harness::parseFactor(flags.getString("heap-mb"),
+                                           "--heap-mb");
+        harness::applyPlanKey(plan, "iterations", flags.getString("n"));
+        for (std::string key :
+             {"invocations", "jobs", "seed", "size", "faults", "retries",
+              "trace_categories", "metrics_interval"}) {
+            std::string flag = key;
+            std::replace(flag.begin(), flag.end(), '_', '-');
+            harness::applyPlanKey(plan, key, flags.getString(flag));
+        }
+    } catch (const harness::ParseError &e) {
+        std::cerr << "dacapo: " << e.what() << "\n";
+        return 2;
+    }
+    const auto &workload = *found;
 
     if (flags.getBool("p")) {
         printNominalStats(workload);
         return 0;
     }
 
-    harness::ExperimentOptions options;
-    options.iterations = static_cast<int>(flags.getInt("n"));
-    options.invocations =
-        std::max(1, static_cast<int>(flags.getInt("invocations")));
-    options.jobs = static_cast<int>(flags.getInt("jobs"));
-    options.base_seed = static_cast<std::uint64_t>(flags.getInt("seed"));
+    auto options = plan.options;
     options.trace_rate = workload.latency_sensitive;
-    if (!flags.getString("faults").empty()) {
-        std::string error;
-        if (!fault::parseFaultSpec(flags.getString("faults"),
-                                   options.faults, error))
-            support::fatal("--faults: ", error);
-    }
-    options.retries =
-        std::max(0, static_cast<int>(flags.getInt("retries")));
 
     const std::string trace_out = flags.getString("trace-out");
     const std::string metrics_csv = flags.getString("metrics-csv");
@@ -143,36 +156,27 @@ main(int argc, char **argv)
     trace::MetricsRegistry registry;
     if (!trace_out.empty() || !metrics_csv.empty()) {
         trace::TraceSink::Options trace_options;
-        trace_options.categories =
-            trace::parseCategories(flags.getString("trace-categories"));
+        trace_options.categories = plan.trace_categories;
         sink = std::make_unique<trace::TraceSink>(trace_options);
         options.trace = sink.get();
         options.metrics = &registry;
-        options.metrics_interval_ms =
-            flags.getDouble("metrics-interval");
     }
 
-    const std::string size = flags.getString("size");
-    options.size = size == "small" ? workloads::SizeConfig::Small
-        : size == "large"          ? workloads::SizeConfig::Large
-        : size == "vlarge"         ? workloads::SizeConfig::VLarge
-                                   : workloads::SizeConfig::Default;
     if (!workloads::sizeAvailable(workload, options.size))
-        support::fatal(workload.name, " has no ", size, " size");
+        support::fatal(workload.name, " has no ",
+                       workloads::sizeName(options.size), " size");
 
     const auto algorithm = gc::algorithmFromName(flags.getString("gc"));
     harness::Runner runner(options);
 
     std::cout << "===== DaCapo-sim " << workload.name << " starting ("
-              << size << ", " << gc::algorithmName(algorithm)
+              << workloads::sizeName(options.size) << ", "
+              << gc::algorithmName(algorithm)
               << ") =====\n";
 
     const auto set =
-        flags.getDouble("heap-mb") > 0.0
-            ? runner.runAtHeapMb(workload, algorithm,
-                                 flags.getDouble("heap-mb"))
-            : runner.run(workload, algorithm,
-                         flags.getDouble("heap-factor"));
+        heap_mb > 0.0 ? runner.runAtHeapMb(workload, algorithm, heap_mb)
+                      : runner.run(workload, algorithm, heap_factor);
     const auto &run = set.runs.front();
 
     // Trace and metrics files are written on success *and* failure:
@@ -183,6 +187,7 @@ main(int argc, char **argv)
                 std::cout << "saved trace to " << trace_out << "\n";
         }
         if (!metrics_csv.empty()) {
+            sink->recordSamples(registry);
             metrics::writeCsvFile(metrics_csv, [&](std::ostream &out) {
                 metrics::exportMetricsCsv(registry, out);
             });
@@ -218,9 +223,7 @@ main(int argc, char **argv)
 
     if (flags.getBool("verbose-gc")) {
         const double capacity =
-            (flags.getDouble("heap-mb") > 0.0
-                 ? flags.getDouble("heap-mb")
-                 : flags.getDouble("heap-factor") * workload.gc.gmd_mb) *
+            (heap_mb > 0.0 ? heap_mb : heap_factor * workload.gc.gmd_mb) *
             1024.0 * 1024.0;
         runtime::formatGcLog(run.log, capacity, std::cout);
     }

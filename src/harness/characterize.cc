@@ -343,19 +343,8 @@ measureSuiteStats(const CharacterizeOptions &options)
 
     stats::StatTable table;
     for (std::size_t i = 0; i < suite.size(); ++i) {
-        if (sink != nullptr) {
-            const auto track = sink->registerTrack("harness");
-            const char *label = sink->internName(
-                "characterize " + suite[i].name);
-            const double begin = sink->timeBase();
-            const double end = begin + shards[i]->timeBase();
-            sink->beginSpanAbs(track, trace::Category::Harness, label,
-                               begin);
-            sink->merge(*shards[i], begin);
-            sink->endSpanAbs(track, trace::Category::Harness, label,
-                             end);
-            sink->setTimeBase(end);
-        }
+        if (sink != nullptr)
+            sink->appendCell(*shards[i], "characterize " + suite[i].name);
         table.merge(tables[i]);
     }
     return table;

@@ -167,8 +167,6 @@ runLboSweep(const workloads::Descriptor &workload,
         },
         jobs);
 
-    const auto track =
-        sink ? sink->registerTrack("harness") : trace::TrackId{0};
     for (auto &cell : cells) {
         const std::string name = gc::algorithmName(cell.algorithm);
         if (!cell.restored) {
@@ -198,20 +196,9 @@ runLboSweep(const workloads::Descriptor &workload,
             }
         }
         if (sink) {
-            // One sweep-cell span wrapping this cell's invocations;
-            // the cell shard's time base advanced past every
-            // invocation, so it is also the cell's duration.
-            const char *label = sink->internName(
-                name + " @ " + support::concat(cell.factor) + "x");
-            const double cell_begin = sink->timeBase();
-            const double cell_end =
-                cell_begin + cell.shard->timeBase();
-            sink->beginSpanAbs(track, trace::Category::Harness, label,
-                               cell_begin);
-            sink->merge(*cell.shard, cell_begin);
-            sink->endSpanAbs(track, trace::Category::Harness, label,
-                             cell_end);
-            sink->setTimeBase(cell_end);
+            // One sweep-cell span wrapping this cell's invocations.
+            sink->appendCell(*cell.shard,
+                             name + " @ " + support::concat(cell.factor) + "x");
             trace::TraceSink::releaseShard(std::move(cell.shard));
         }
         result.dispatches += cell.dispatches;

@@ -154,20 +154,10 @@ findMinHeapGrid(const std::vector<std::string> &workload_names,
         jobs);
 
     if (sink != nullptr) {
-        const auto track = sink->registerTrack("harness");
         for (std::size_t i = 0; i < grid.cells.size(); ++i) {
             const auto &cell = grid.cells[i];
-            const char *label = sink->internName(
-                "minheap " + cell.workload + "/" +
-                gc::algorithmName(cell.algorithm));
-            const double begin = sink->timeBase();
-            const double end = begin + shards[i]->timeBase();
-            sink->beginSpanAbs(track, trace::Category::Harness, label,
-                               begin);
-            sink->merge(*shards[i], begin);
-            sink->endSpanAbs(track, trace::Category::Harness, label,
-                             end);
-            sink->setTimeBase(end);
+            sink->appendCell(*shards[i], "minheap " + cell.workload + "/" +
+                                             gc::algorithmName(cell.algorithm));
         }
     }
     return grid;

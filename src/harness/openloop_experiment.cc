@@ -1,6 +1,7 @@
 #include "harness/openloop_experiment.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "exec/parallel_for.hh"
 #include "exec/pool.hh"
@@ -9,6 +10,8 @@
 #include "metrics/summary.hh"
 #include "report/codec.hh"
 #include "support/rng.hh"
+#include "support/strfmt.hh"
+#include "trace/sink.hh"
 #include "workloads/registry.hh"
 
 namespace capo::harness {
@@ -223,6 +226,12 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
         }
     }
 
+    // Each cell traces into its own shard, appended below in cell
+    // order, so the timeline and the metric samples do not depend on
+    // which cell finished first.
+    trace::TraceSink *sink = options.base.trace;
+    std::vector<std::unique_ptr<trace::TraceSink>> shards(
+        sweep.cells.size());
     std::vector<std::uint64_t> dispatches(sweep.cells.size(), 0);
     const std::size_t jobs = exec::resolveJobs(options.base.jobs);
     exec::parallel_for(
@@ -231,6 +240,12 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
             auto &cell = sweep.cells[i];
             if (cell.restored)
                 return;
+            OpenLoopSweepOptions cell_options = options;
+            if (sink != nullptr) {
+                shards[i] =
+                    trace::TraceSink::acquireShard(sink->shardOptions());
+                cell_options.base.trace = shards[i].get();
+            }
             const auto &workload = workloads::byName(cell.workload);
             const auto algorithm = [&] {
                 gc::Algorithm a = gc::Algorithm::Serial;
@@ -241,11 +256,11 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
                 options.heap_factor *
                 workloads::sizeMinHeapMb(workload, options.base.size);
             if (cell.mode == "closed") {
-                runClosedCell(workload, algorithm, heap_mb, options,
+                runClosedCell(workload, algorithm, heap_mb, cell_options,
                               cell, &dispatches[i]);
             } else {
                 runLiveCell(workload, algorithm, heap_mb,
-                            cell.mode == "adaptive", options, cell,
+                            cell.mode == "adaptive", cell_options, cell,
                             &dispatches[i]);
             }
         },
@@ -259,6 +274,12 @@ runOpenLoopSweep(const std::vector<std::string> &workload_names,
                                             cell.collector, cell.mode,
                                             cell.load_factor),
                             encodeCell(cell));
+        }
+        if (shards[i] != nullptr) {
+            sink->appendCell(*shards[i],
+                             cell.collector + " " + cell.mode + " @ " +
+                                 support::concat(cell.load_factor) + "x");
+            trace::TraceSink::releaseShard(std::move(shards[i]));
         }
     }
     return sweep;

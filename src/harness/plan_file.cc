@@ -55,10 +55,9 @@ template <typename... Args>
 [[noreturn]] void
 fail(int line, Args &&...args)
 {
-    std::string message = line > 0
-                              ? support::concat("plan file line ",
-                                                line, ": ")
-                              : std::string("plan file: ");
+    std::string message =
+        line > 0 ? support::concat("plan file line ", line, ": ")
+                 : std::string();
     message += support::concat(std::forward<Args>(args)...);
     throw ParseError(line, message);
 }
@@ -125,15 +124,26 @@ parseDouble(const std::string &value, int line, const char *what)
  *  cell. No experiment comes near a million times either base. */
 constexpr double kMaxFactor = 1e6;
 
-double
-parseFactor(const std::string &value, int line, const char *what)
+/** @{ Bounds by run cost: an open-loop cell takes 1 to 2 s at load
+ *  factor 100 and minutes at 1e4; fop traces in 7x its untraced time
+ *  at a 0.1 sim-ms metrics_interval, and 1e-9 would run for days. */
+constexpr double kMaxLoadFactor = 100;
+constexpr double kMinMetricsInterval = 0.1;
+/** @} */
+
+std::vector<double>
+parseFactors(const std::string &value, int line, const char *what,
+             const char *key, double max = kMaxFactor)
 {
-    const double factor = parseDouble(value, line, what);
-    if (factor <= 0.0)
-        fail(line, what, " must be positive, got ", value);
-    if (factor > kMaxFactor)
-        fail(line, what, " must be at most 1e6, got ", value);
-    return factor;
+    std::vector<double> out;
+    for (const auto &item : splitList(value)) {
+        out.push_back(parseFactor(item, what, line));
+        if (out.back() > max)
+            fail(line, what, " must be at most ", max, ", got ", item);
+    }
+    if (out.empty())
+        fail(line, "empty ", key);
+    return out;
 }
 
 std::vector<std::string>
@@ -149,11 +159,8 @@ resolveWorkloads(const std::string &value, int line)
         return out;
     }
     std::vector<std::string> out;
-    for (const auto &name : splitList(value)) {
-        if (!workloads::contains(name))
-            fail(line, "unknown workload '", name, "'");
-        out.push_back(name);
-    }
+    for (const auto &name : splitList(value))
+        out.push_back(resolveWorkload(name, line).name);
     if (out.empty())
         fail(line, "empty workload list");
     return out;
@@ -182,6 +189,58 @@ resolveCollectors(const std::string &value, int line)
     return out;
 }
 
+/** A plan key its experiment takes as a flag (beyond the standard
+ *  iterations, invocations, seed and jobs), with an empty plan's
+ *  value. */
+struct PlanKey
+{
+    const char *key;
+    const char *empty;
+    const char *help;
+};
+
+constexpr PlanKey kCommonKeys[] = {
+    {"workloads", "all", "workload names, or all / latency"},
+    {"collectors", "production", "collector names, or production / all"},
+    {"heap_factors", "2", "heap factors (x min heap), in (0, 1e6]"},
+    {"size", "default", "input size: small | default | large | vlarge"},
+    {"trace_out", "", "Chrome/Perfetto trace JSON to write (empty = none)"},
+    {"trace_categories", "all", "categories to trace, or all / none"},
+    {"metrics_interval", "10",
+     "counter sampling period in sim-ms: 0 (off) or >= 0.1"},
+    {"faults", "none", "fault spec, e.g. 0.01 or alloc=0.01,gc=0.005"},
+    {"fault_seed", "0", "fault-stream salt"},
+    {"retries", "0", "extra attempts per faulty invocation"},
+    {"checkpoint", "", "journal of completed cells (empty = none)"},
+};
+
+constexpr PlanKey kOpenLoopKeys[] = {
+    {"arrival", "poisson", "arrival process: poisson | onoff | diurnal"},
+    {"rate", "0.5,1.2",
+     "load factors (1 = lane saturation), in (0, 100]"},
+    {"burst", "4:0.3", "on/off rate ratio : duty cycle (onoff)"},
+    {"pacing", "closed,static,adaptive", "modes to compare"},
+};
+
+std::vector<PlanKey>
+keysOf(ExperimentPlan::Kind kind)
+{
+    std::vector<PlanKey> keys(std::begin(kCommonKeys),
+                              std::end(kCommonKeys));
+    if (kind == ExperimentPlan::Kind::OpenLoop)
+        keys.insert(keys.end(), std::begin(kOpenLoopKeys),
+                    std::end(kOpenLoopKeys));
+    return keys;
+}
+
+/** A plan key's flag: `heap_factors` is `heap-factors`. */
+std::string
+flagName(std::string key)
+{
+    std::replace(key.begin(), key.end(), '_', '-');
+    return key;
+}
+
 workloads::SizeConfig
 resolveSize(const std::string &value, int line)
 {
@@ -199,6 +258,25 @@ resolveSize(const std::string &value, int line)
 
 } // namespace
 
+double
+parseFactor(const std::string &value, const char *what, int line)
+{
+    const double factor = parseDouble(trim(value), line, what);
+    if (factor <= 0.0)
+        fail(line, what, " must be positive, got ", value);
+    if (factor > kMaxFactor)
+        fail(line, what, " must be at most 1e6, got ", value);
+    return factor;
+}
+
+const workloads::Descriptor &
+resolveWorkload(const std::string &name, int line)
+{
+    if (!workloads::contains(name))
+        fail(line, "unknown workload '", name, "'");
+    return workloads::byName(name);
+}
+
 const char *
 planKindName(ExperimentPlan::Kind kind)
 {
@@ -213,6 +291,145 @@ planKindName(ExperimentPlan::Kind kind)
         return "openloop";
     }
     return "?";
+}
+
+void
+applyPlanKey(ExperimentPlan &plan, const std::string &key,
+             const std::string &raw, int line_no)
+{
+    const std::string value = trim(raw);
+    if (key == "experiment") {
+        const std::string kind = lower(value);
+        if (kind == "lbo")
+            plan.kind = ExperimentPlan::Kind::Lbo;
+        else if (kind == "latency")
+            plan.kind = ExperimentPlan::Kind::Latency;
+        else if (kind == "minheap")
+            plan.kind = ExperimentPlan::Kind::MinHeap;
+        else if (kind == "openloop")
+            plan.kind = ExperimentPlan::Kind::OpenLoop;
+        else
+            fail(line_no, "unknown experiment '", value, "'");
+    } else if (key == "workloads") {
+        plan.workloads = resolveWorkloads(value, line_no);
+    } else if (key == "collectors") {
+        plan.collectors = resolveCollectors(value, line_no);
+    } else if (key == "heap_factors") {
+        plan.heap_factors =
+            parseFactors(value, line_no, "heap factor", "heap_factors");
+    } else if (key == "iterations") {
+        plan.options.iterations = parseInt(value, line_no, "iterations");
+        if (plan.options.iterations < 1)
+            fail(line_no, "iterations must be >= 1, got ", value);
+    } else if (key == "invocations") {
+        plan.options.invocations =
+            parseInt(value, line_no, "invocations");
+        if (plan.options.invocations < 1)
+            fail(line_no, "invocations must be >= 1, got ", value);
+    } else if (key == "jobs") {
+        const int jobs = parseInt(value, line_no, "jobs");
+        if (jobs < 0) {
+            fail(line_no, "jobs must be >= 0 (0 = all hardware "
+                          "threads), got ",
+                 value);
+        }
+        plan.options.jobs = jobs;
+    } else if (key == "size") {
+        plan.options.size = resolveSize(value, line_no);
+    } else if (key == "seed") {
+        plan.options.base_seed = parseU64(value, line_no, "seed");
+    } else if (key == "trace_out") {
+        plan.trace_out = value;
+    } else if (key == "trace_categories") {
+        trace::CategoryMask mask = 0;
+        std::string error;
+        if (!trace::tryParseCategories(value, mask, error))
+            fail(line_no, error);
+        plan.trace_categories = mask;
+    } else if (key == "metrics_interval") {
+        const double interval =
+            parseDouble(value, line_no, "metrics_interval");
+        if (interval != 0.0 && !(interval >= kMinMetricsInterval)) {
+            fail(line_no, "metrics_interval must be 0 (off) or at least ",
+                 kMinMetricsInterval, " ms, got ", value);
+        }
+        plan.options.metrics_interval_ms = interval;
+    } else if (key == "faults") {
+        std::string error;
+        if (!fault::parseFaultSpec(value, plan.options.faults, error))
+            fail(line_no, error);
+    } else if (key == "fault_seed") {
+        plan.options.faults.seed = parseU64(value, line_no, "fault_seed");
+    } else if (key == "retries") {
+        plan.options.retries = parseInt(value, line_no, "retries");
+        if (plan.options.retries < 0)
+            fail(line_no, "retries must be >= 0, got ", value);
+    } else if (key == "checkpoint") {
+        plan.checkpoint = value;
+    } else if (key == "arrival") {
+        if (!load::tryArrivalKindFromName(lower(value),
+                                          &plan.arrival.kind)) {
+            fail(line_no, "unknown arrival process '", value,
+                 "' (expected poisson, onoff or diurnal)");
+        }
+    } else if (key == "rate") {
+        plan.load_factors = parseFactors(value, line_no, "load factor",
+                                         "rate list", kMaxLoadFactor);
+    } else if (key == "burst") {
+        const auto colon = value.find(':');
+        if (colon == std::string::npos) {
+            fail(line_no, "burst expects ratio:duty, got '", value,
+                 "'");
+        }
+        const double ratio = parseDouble(trim(value.substr(0, colon)),
+                                         line_no, "burst ratio");
+        const double duty = parseDouble(trim(value.substr(colon + 1)),
+                                        line_no, "burst duty");
+        if (ratio < 1.0)
+            fail(line_no, "burst ratio must be >= 1, got ", value);
+        if (duty <= 0.0 || duty >= 1.0)
+            fail(line_no, "burst duty must be in (0, 1), got ", value);
+        plan.arrival.burst_ratio = ratio;
+        plan.arrival.burst_duty = duty;
+    } else if (key == "pacing") {
+        plan.pacing_modes.clear();
+        for (const auto &item : splitList(value)) {
+            const std::string mode = lower(item);
+            if (mode != "closed" && mode != "static" &&
+                mode != "adaptive") {
+                fail(line_no, "unknown pacing mode '", item,
+                     "' (expected closed, static or adaptive)");
+            }
+            plan.pacing_modes.push_back(mode);
+        }
+        if (plan.pacing_modes.empty())
+            fail(line_no, "empty pacing list");
+    } else {
+        fail(line_no, "unknown key '", key, "'");
+    }
+}
+
+void
+finishPlan(ExperimentPlan &plan)
+{
+    // Latency and open-loop experiments only make sense on
+    // latency-sensitive workloads; filter silently so
+    // "workloads = all" works.
+    if (plan.kind != ExperimentPlan::Kind::Latency &&
+        plan.kind != ExperimentPlan::Kind::OpenLoop)
+        return;
+    std::vector<std::string> filtered;
+    for (const auto &name : plan.workloads) {
+        if (workloads::byName(name).latency_sensitive)
+            filtered.push_back(name);
+    }
+    if (filtered.empty()) {
+        fail(0, planKindName(plan.kind),
+             " experiment with no latency-sensitive workloads");
+    }
+    plan.workloads = filtered;
+    if (plan.kind == ExperimentPlan::Kind::Latency)
+        plan.options.trace_rate = true;
 }
 
 ExperimentPlan
@@ -240,157 +457,10 @@ parsePlan(const std::string &text)
         }
         const std::string key = lower(trim(line.substr(0, eq)));
         const std::string value = trim(line.substr(eq + 1));
-
-        if (key == "experiment") {
-            const std::string kind = lower(value);
-            if (kind == "lbo")
-                plan.kind = ExperimentPlan::Kind::Lbo;
-            else if (kind == "latency")
-                plan.kind = ExperimentPlan::Kind::Latency;
-            else if (kind == "minheap")
-                plan.kind = ExperimentPlan::Kind::MinHeap;
-            else if (kind == "openloop")
-                plan.kind = ExperimentPlan::Kind::OpenLoop;
-            else
-                fail(line_no, "unknown experiment '", value, "'");
-        } else if (key == "workloads") {
-            plan.workloads = resolveWorkloads(value, line_no);
-        } else if (key == "collectors") {
-            plan.collectors = resolveCollectors(value, line_no);
-        } else if (key == "heap_factors") {
-            plan.heap_factors.clear();
-            for (const auto &item : splitList(value)) {
-                plan.heap_factors.push_back(
-                    parseFactor(item, line_no, "heap factor"));
-            }
-            if (plan.heap_factors.empty())
-                fail(line_no, "empty heap_factors");
-        } else if (key == "iterations") {
-            plan.options.iterations =
-                parseInt(value, line_no, "iterations");
-            if (plan.options.iterations < 1)
-                fail(line_no, "iterations must be >= 1, got ", value);
-        } else if (key == "invocations") {
-            plan.options.invocations =
-                parseInt(value, line_no, "invocations");
-            if (plan.options.invocations < 1)
-                fail(line_no, "invocations must be >= 1, got ", value);
-        } else if (key == "jobs") {
-            const int jobs = parseInt(value, line_no, "jobs");
-            if (jobs < 0) {
-                fail(line_no, "jobs must be >= 0 (0 = all hardware "
-                              "threads), got ",
-                     value);
-            }
-            plan.options.jobs = jobs;
-        } else if (key == "size") {
-            plan.options.size = resolveSize(value, line_no);
-        } else if (key == "seed") {
-            plan.options.base_seed = parseU64(value, line_no, "seed");
-        } else if (key == "trace_out") {
-            plan.trace_out = value;
-        } else if (key == "trace_categories") {
-            trace::CategoryMask mask = 0;
-            std::string error;
-            if (!trace::tryParseCategories(value, mask, error))
-                fail(line_no, error);
-            plan.trace_categories = mask;
-        } else if (key == "metrics_interval") {
-            plan.options.metrics_interval_ms =
-                parseDouble(value, line_no, "metrics_interval");
-            if (plan.options.metrics_interval_ms < 0.0)
-                fail(line_no, "negative metrics_interval");
-        } else if (key == "faults") {
-            std::string error;
-            if (!fault::parseFaultSpec(value, plan.options.faults,
-                                       error))
-                fail(line_no, error);
-        } else if (key == "fault_seed") {
-            plan.options.faults.seed =
-                parseU64(value, line_no, "fault_seed");
-        } else if (key == "retries") {
-            plan.options.retries = parseInt(value, line_no, "retries");
-            if (plan.options.retries < 0)
-                fail(line_no, "retries must be >= 0, got ", value);
-        } else if (key == "checkpoint") {
-            plan.checkpoint = value;
-        } else if (key == "arrival") {
-            if (!load::tryArrivalKindFromName(lower(value),
-                                              &plan.arrival.kind)) {
-                fail(line_no, "unknown arrival process '", value,
-                     "' (expected poisson, onoff or diurnal)");
-            }
-        } else if (key == "rate") {
-            plan.load_factors.clear();
-            for (const auto &item : splitList(value)) {
-                plan.load_factors.push_back(
-                    parseFactor(item, line_no, "load factor"));
-            }
-            if (plan.load_factors.empty())
-                fail(line_no, "empty rate list");
-        } else if (key == "burst") {
-            const auto colon = value.find(':');
-            if (colon == std::string::npos) {
-                fail(line_no, "burst expects ratio:duty, got '", value,
-                     "'");
-            }
-            const double ratio = parseDouble(trim(value.substr(0, colon)),
-                                             line_no, "burst ratio");
-            const double duty = parseDouble(trim(value.substr(colon + 1)),
-                                            line_no, "burst duty");
-            if (ratio < 1.0)
-                fail(line_no, "burst ratio must be >= 1, got ", value);
-            if (duty <= 0.0 || duty >= 1.0)
-                fail(line_no, "burst duty must be in (0, 1), got ",
-                     value);
-            plan.arrival.burst_ratio = ratio;
-            plan.arrival.burst_duty = duty;
-        } else if (key == "pacing") {
-            plan.pacing_modes.clear();
-            for (const auto &item : splitList(value)) {
-                const std::string mode = lower(item);
-                if (mode != "closed" && mode != "static" &&
-                    mode != "adaptive") {
-                    fail(line_no, "unknown pacing mode '", item,
-                         "' (expected closed, static or adaptive)");
-                }
-                plan.pacing_modes.push_back(mode);
-            }
-            if (plan.pacing_modes.empty())
-                fail(line_no, "empty pacing list");
-        } else {
-            fail(line_no, "unknown key '", key, "'");
-        }
+        applyPlanKey(plan, key, value, line_no);
+        plan.settings.emplace_back(key, value);
     }
-
-    // Latency and open-loop experiments only make sense on
-    // latency-sensitive workloads; filter silently so
-    // "workloads = all" works.
-    if (plan.kind == ExperimentPlan::Kind::OpenLoop) {
-        std::vector<std::string> filtered;
-        for (const auto &name : plan.workloads) {
-            if (workloads::byName(name).latency_sensitive)
-                filtered.push_back(name);
-        }
-        if (filtered.empty()) {
-            fail(0, "openloop experiment with no latency-sensitive "
-                    "workloads");
-        }
-        plan.workloads = filtered;
-    }
-    if (plan.kind == ExperimentPlan::Kind::Latency) {
-        std::vector<std::string> filtered;
-        for (const auto &name : plan.workloads) {
-            if (workloads::byName(name).latency_sensitive)
-                filtered.push_back(name);
-        }
-        if (filtered.empty()) {
-            fail(0, "latency experiment with no latency-sensitive "
-                    "workloads");
-        }
-        plan.workloads = filtered;
-        plan.options.trace_rate = true;
-    }
+    finishPlan(plan);
     return plan;
 }
 
@@ -403,6 +473,45 @@ loadPlan(const std::string &path)
     std::stringstream buffer;
     buffer << in.rdbuf();
     return parsePlan(buffer.str());
+}
+
+void
+addPlanFlags(ExperimentPlan::Kind kind, support::Flags &flags)
+{
+    for (const auto &key : keysOf(kind))
+        flags.addString(flagName(key.key), key.empty, key.help);
+    flags.addBool("resume", false,
+                  "restore the cells journaled in --checkpoint instead "
+                  "of re-running them");
+}
+
+ExperimentPlan
+planFromFlags(ExperimentPlan::Kind kind, const support::Flags &flags,
+              const ExperimentOptions &options)
+{
+    ExperimentPlan plan;
+    plan.kind = kind;
+    plan.options = options;
+    for (const auto &key : keysOf(kind))
+        applyPlanKey(plan, key.key, flags.getString(flagName(key.key)));
+    finishPlan(plan);
+    return plan;
+}
+
+std::vector<std::string>
+planArgs(const ExperimentPlan &plan)
+{
+    auto keys = keysOf(plan.kind);
+    for (const char *key : {"iterations", "invocations", "seed", "jobs"})
+        keys.push_back({key, "", ""});
+    std::vector<std::string> args;
+    for (const auto &[key, value] : plan.settings) {
+        for (const auto &known : keys) {
+            if (key == known.key)
+                args.push_back("--" + flagName(key) + "=" + value);
+        }
+    }
+    return args;
 }
 
 } // namespace capo::harness

@@ -51,7 +51,9 @@ struct ExperimentOptions
     /** @{ Observability (null disables). Every invocation appears as
      *  an "invocation" span on the sink's "harness" track; each engine
      *  starts at t=0, so the runner advances the sink's time base
-     *  between invocations to keep one monotonic timeline. */
+     *  between invocations to keep one monotonic timeline. The
+     *  sampler's histogram samples stay in the sink
+     *  (TraceSink::recordSamples); @c metrics counts injected faults. */
     trace::TraceSink *trace = nullptr;
     trace::MetricsRegistry *metrics = nullptr;
     double metrics_interval_ms = 10.0;  ///< Sampling period (sim-ms).

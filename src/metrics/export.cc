@@ -90,8 +90,7 @@ exportMetricsCsv(const trace::MetricsRegistry &registry,
                  std::ostream &out)
 {
     support::CsvWriter csv(out);
-    csv.header({"name", "kind", "count", "min", "mean", "max", "stddev",
-                "last"});
+    csv.header({"name", "kind", "count", "min", "mean", "max", "stddev"});
     for (const auto &entry : registry.entries()) {
         csv.beginRow();
         csv.cell(entry.name);
@@ -104,7 +103,6 @@ exportMetricsCsv(const trace::MetricsRegistry &registry,
             csv.cell(entry.counter.value());
             csv.cell(entry.counter.value());
             csv.cell(0.0);
-            csv.cell(entry.counter.value());
             break;
           case trace::MetricsRegistry::Kind::Gauge:
             csv.cell(std::uint64_t{entry.gauge.everSet() ? 1u : 0u});
@@ -112,7 +110,6 @@ exportMetricsCsv(const trace::MetricsRegistry &registry,
             csv.cell(entry.gauge.value());
             csv.cell(entry.gauge.value());
             csv.cell(0.0);
-            csv.cell(entry.gauge.value());
             break;
           case trace::MetricsRegistry::Kind::Histogram: {
             const auto &h = entry.histogram;
@@ -121,7 +118,6 @@ exportMetricsCsv(const trace::MetricsRegistry &registry,
             csv.cell(h.mean());
             csv.cell(h.max());
             csv.cell(h.stddev());
-            csv.cell(h.last());
             break;
           }
         }

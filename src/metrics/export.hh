@@ -50,8 +50,10 @@ std::size_t exportHeapTimelineCsv(const runtime::GcEventLog &log,
 
 /**
  * Write a metrics-registry summary (one row per counter, gauge or
- * histogram) to CSV. Histogram rows carry full distribution stats;
- * counters and gauges report their value in the `last` column.
+ * histogram) to CSV: count, min, mean, max and stddev. Counters and
+ * gauges report their value as min, mean and max. No column depends
+ * on the order concurrent cells recorded in, so the file is the same
+ * at any --jobs.
  */
 std::size_t exportMetricsCsv(const trace::MetricsRegistry &registry,
                              std::ostream &out);

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/checkpoint.hh"
 #include "harness/runner.hh"
 #include "report/artifact.hh"
 #include "report/table.hh"
@@ -60,6 +61,16 @@ struct ExperimentContext
     /** Typed result tables; flushed through `artifacts` as
      *  <experiment>/<table>.csv after run() returns. */
     ResultStore &store;
+
+    /** The checkpoint journal (null when there is none). For an
+     *  experiment that declares --checkpoint and --resume
+     *  (harness::addPlanFlags does), runExperimentMain opens it at
+     *  the first call, so a body calls this once its arguments are
+     *  checked and a bad one cannot truncate the journal. Throws
+     *  harness::ParseError when the journal cannot be opened.
+     *  runRegistered never opens one: a served request writes no
+     *  file. */
+    std::function<harness::CheckpointJournal *()> journal;
 };
 
 /** A declaratively registered reproduction experiment. */
@@ -116,16 +127,21 @@ struct RegisterExperiment
 /** The standard flag set shared by every reproduction binary. */
 support::Flags standardFlags(const std::string &description);
 
-/** Experiment options derived from the standard flags. */
+/** Experiment options derived from the standard flags, each value
+ *  checked by the plan key of the same name (harness::applyPlanKey);
+ *  throws harness::ParseError. */
 harness::ExperimentOptions
 optionsFromFlags(const support::Flags &flags, int quick_invocations = 3,
                  int quick_iterations = 3);
 
 /**
  * Run one registered experiment inside an existing harness (tests,
- * golden snapshots): parse @p args (argv-style, no program name),
- * build the context over the supplied @p sink and @p store, and
- * invoke the body. The banner is *not* printed.
+ * golden snapshots, the server): parse @p args (argv-style, no
+ * program name), build the context over the supplied @p sink and
+ * @p store, and invoke the body. The banner is *not* printed, and no
+ * checkpoint journal is opened. A bad argument — an unknown flag, a
+ * malformed value, one the body's validators reject — throws
+ * harness::ParseError; nothing exits the process.
  */
 int runRegistered(const Experiment &experiment,
                   const std::vector<std::string> &args,
@@ -133,8 +149,12 @@ int runRegistered(const Experiment &experiment,
 
 /**
  * The shared main(): look up @p name, parse argv, print the banner,
+ * open the --checkpoint journal when the experiment declares one,
  * run, then flush the result store through the artifact sink (when
- * --artifacts was given). Exits 2 on an unknown name.
+ * --artifacts was given). The journal's header hash covers the
+ * experiment name and every flag value except --jobs, the output
+ * paths, the tracing flags and --resume. Exits 2 on an unknown name,
+ * a bad argument or a journal that cannot be opened.
  */
 int runExperimentMain(const std::string &name, int argc, char **argv);
 

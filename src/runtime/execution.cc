@@ -100,7 +100,7 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
 
         if (config.metrics_interval_ns > 0.0) {
             sampler = std::make_unique<trace::MetricsSampler>(
-                sink, config.metrics, config.metrics_interval_ns);
+                sink, config.metrics_interval_ns);
             sampler->addProbe("heap.occupied_bytes",
                               [&heap] { return heap.occupied(); });
             sampler->addProbe("heap.live_bytes",

@@ -64,9 +64,10 @@ struct ExecutionConfig
     /** @{ Observability (all optional; null/zero disables). The sink
      *  receives engine scheduling spans, mutator phases, GC phases and
      *  trigger decisions, and — when @c metrics_interval_ns > 0 —
-     *  periodic counter samples, which also feed @c metrics
-     *  histograms. With sampling enabled the run's wall clock may
-     *  trail the last mutator exit by up to one interval. */
+     *  periodic counter samples, which it also keeps as histogram
+     *  samples (TraceSink::sample). @c metrics counts injected
+     *  faults. With sampling enabled the run's wall clock may trail
+     *  the last mutator exit by up to one interval. */
     trace::TraceSink *trace = nullptr;
     trace::MetricsRegistry *metrics = nullptr;
     double metrics_interval_ns = 0.0;

@@ -6,9 +6,9 @@
 #include <utility>
 
 #include "exec/seed.hh"
+#include "harness/plan_file.hh"
 #include "report/experiment.hh"
 #include "serve/socket.hh"
-#include "support/flags.hh"
 
 namespace capo::serve {
 
@@ -493,23 +493,6 @@ ExperimentServer::execute(const Request &request)
         return errorResponse("unknown experiment '" +
                              request.experiment + "'");
 
-    // Validate args on a scratch flag set first: runRegistered's
-    // parse is fatal on bad input, and a daemon must answer, not die.
-    {
-        auto flags = report::standardFlags(experiment->description);
-        if (experiment->add_flags)
-            experiment->add_flags(flags);
-        std::vector<const char *> argv = {
-            request.experiment.c_str()};
-        for (const auto &arg : request.args)
-            argv.push_back(arg.c_str());
-        std::string error;
-        if (!flags.tryParse(static_cast<int>(argv.size()),
-                            argv.data(), error) ||
-            !flags.valuesValid(error))
-            return errorResponse("bad arguments: " + error);
-    }
-
     // Bodies share process-global cout and the process-wide pool;
     // run one at a time — across *every* server in this process, not
     // just this one, since cout capture swaps a global streambuf —
@@ -525,6 +508,11 @@ ExperimentServer::execute(const Request &request)
     try {
         code = report::runRegistered(*experiment, request.args, sink,
                                      store);
+    } catch (const harness::ParseError &e) {
+        // A bad argument: runRegistered and the bodies' validators
+        // throw instead of exiting, so the daemon answers and lives.
+        std::cout.rdbuf(saved);
+        return errorResponse(std::string("bad arguments: ") + e.what());
     } catch (...) {
         std::cout.rdbuf(saved);
         return errorResponse("experiment '" + request.experiment +

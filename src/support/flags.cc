@@ -251,6 +251,15 @@ Flags::getBool(const std::string &name) const
     fatal("flag --", name, " expects a boolean, got '", flag.value, "'");
 }
 
+std::map<std::string, std::string>
+Flags::values() const
+{
+    std::map<std::string, std::string> out;
+    for (const auto &[name, flag] : flags_)
+        out[name] = flag.value;
+    return out;
+}
+
 std::string
 Flags::usage() const
 {

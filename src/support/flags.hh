@@ -76,6 +76,10 @@ class Flags
 
     const std::vector<std::string> &positionals() const { return pos_; }
 
+    /** Every declared flag's current value (canonical string form),
+     *  by name. */
+    std::map<std::string, std::string> values() const;
+
     /** Render usage text (also shown by --help). */
     std::string usage() const;
 

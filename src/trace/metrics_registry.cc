@@ -15,7 +15,6 @@ Histogram::record(double value)
     count_.fetch_add(1, std::memory_order_relaxed);
     detail::atomicAdd(sum_, value);
     detail::atomicAdd(sum_sq_, value * value);
-    last_.store(value, std::memory_order_relaxed);
     buckets_[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
 }
 

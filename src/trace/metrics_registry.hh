@@ -133,7 +133,6 @@ class Histogram
     double max() const;
     double mean() const;
     double stddev() const;
-    double last() const { return last_.load(std::memory_order_relaxed); }
 
     /** Approximate @p q quantile (q in [0, 1]); 0 when empty. */
     double quantile(double q) const;
@@ -148,7 +147,6 @@ class Histogram
     std::atomic<double> sum_sq_{0.0};
     std::atomic<double> min_{std::numeric_limits<double>::infinity()};
     std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-    std::atomic<double> last_{0.0};
 };
 
 /**

@@ -5,9 +5,11 @@
  * A MetricsSampler is a lightweight agent that wakes on a fixed
  * sim-time interval and reads a set of probes (heap occupancy, live
  * bytes, runnable agents, collector CPU, ...). Every reading is
- * emitted as a counter event on the sink's counter track *and*
- * recorded into a same-named histogram in the MetricsRegistry, so the
- * Perfetto counter tracks and the CSV summary describe the same data.
+ * emitted as a counter event on the sink's counter track *and* kept
+ * as a sample of a same-named histogram (TraceSink::sample), which
+ * the sink's owner records into a MetricsRegistry after the run, so
+ * the Perfetto counter tracks and the CSV summary describe the same
+ * data.
  *
  * The sampler samples once at t=0 and then every interval; it exits at
  * the first wake-up after requestStop(), so a run's wall clock can
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "sim/agent.hh"
-#include "trace/metrics_registry.hh"
 #include "trace/sink.hh"
 
 namespace capo::sim {
@@ -33,18 +34,16 @@ class Engine;
 namespace capo::trace {
 
 /**
- * Agent that periodically samples probes into a sink and registry.
+ * Agent that periodically samples probes into a sink.
  */
 class MetricsSampler : public sim::Agent
 {
   public:
     /**
-     * @param sink Destination for counter events.
-     * @param registry Optional aggregate store (histogram per probe).
+     * @param sink Destination for counter events and samples.
      * @param interval_ns Sim-time between samples (> 0).
      */
-    MetricsSampler(TraceSink &sink, MetricsRegistry *registry,
-                   double interval_ns);
+    MetricsSampler(TraceSink &sink, double interval_ns);
 
     /** Register a probe before attach(); @p read must stay valid for
      *  the duration of the run. */
@@ -56,8 +55,6 @@ class MetricsSampler : public sim::Agent
     /** Ask the sampler to exit at its next wake-up. */
     void requestStop() { stop_requested_ = true; }
 
-    std::size_t sampleCount() const { return samples_; }
-
     std::string_view name() const override { return "metrics-sampler"; }
     sim::Action resume(sim::Engine &engine) override;
 
@@ -68,11 +65,9 @@ class MetricsSampler : public sim::Agent
     };
 
     TraceSink &sink_;
-    MetricsRegistry *registry_;
     double interval_ns_;
     TrackId track_ = 0;
     std::vector<Probe> probes_;
-    std::size_t samples_ = 0;
     bool stop_requested_ = false;
 };
 

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/logging.hh"
+#include "trace/metrics_registry.hh"
 
 namespace capo::trace {
 
@@ -74,16 +75,6 @@ tryParseCategories(const std::string &spec, CategoryMask &mask,
     return true;
 }
 
-std::uint32_t
-parseCategories(const std::string &spec)
-{
-    CategoryMask mask = 0;
-    std::string error;
-    if (!tryParseCategories(spec, mask, error))
-        support::fatal(error);
-    return mask;
-}
-
 TraceSink::TraceSink(const Options &options)
     : mask_(options.categories), capacity_(options.track_capacity)
 {
@@ -117,6 +108,7 @@ TraceSink::reset(const Options &options)
     if (options.track_capacity != capacity_)
         spare_rings_.clear();
     capacity_ = options.track_capacity;
+    samples_.clear();
     base_ = 0.0;
     for (auto &t : tracks_) {
         t.ring.clear();
@@ -249,6 +241,28 @@ TraceSink::merge(const TraceSink &shard, double offset)
             push(track, event);
         }
     }
+    for (const auto &[name, value] : shard.samples_)
+        sample(internName(name), value);
+}
+
+void
+TraceSink::appendCell(const TraceSink &shard, const std::string &label)
+{
+    const TrackId track = registerTrack("harness");
+    const char *name = internName(label);
+    const double begin = base_;
+    const double end = begin + shard.base_;
+    beginSpanAbs(track, Category::Harness, name, begin);
+    merge(shard, begin);
+    endSpanAbs(track, Category::Harness, name, end);
+    base_ = end;
+}
+
+void
+TraceSink::recordSamples(MetricsRegistry &registry) const
+{
+    for (const auto &[name, value] : samples_)
+        registry.histogram(name).record(value);
 }
 
 std::uint64_t

@@ -19,6 +19,11 @@
  * every invocation its own shard sink (see makeShard()) and merge the
  * shards into the main sink in deterministic invocation order once
  * the fork-join completes, so no sink is ever written concurrently.
+ * A shard also carries its metric samples (sample()); merged in that
+ * same order, the main sink holds every sample in invocation order,
+ * and whoever owns it records them into a MetricsRegistry once the
+ * run is over (recordSamples()), so the registry's sums are the same
+ * at any --jobs.
  */
 
 #ifndef CAPO_TRACE_SINK_HH
@@ -32,6 +37,8 @@
 #include <vector>
 
 namespace capo::trace {
+
+class MetricsRegistry;
 
 /** Subsystem that emitted an event; used for runtime filtering. */
 enum class Category : std::uint32_t {
@@ -53,14 +60,11 @@ constexpr CategoryMask kAllCategories = 0x3f;
 const char *categoryName(Category cat);
 
 /**
- * Parse a category list ("sim,gc", "all", "none") into a mask.
- * Fatal on unknown names (typos in experiment scripts must not
- * silently drop data).
+ * Parse a category list ("sim,gc", "all", "none") into a mask: false
+ * (with @p error set) on unknown names or an empty list, so a typo in
+ * an experiment script cannot silently drop data; @p mask is valid
+ * only on success.
  */
-std::uint32_t parseCategories(const std::string &spec);
-
-/** Non-fatal variant: false (with @p error set) on unknown names or
- *  an empty list; @p mask is valid only on success. */
 bool tryParseCategories(const std::string &spec, CategoryMask &mask,
                         std::string &error);
 
@@ -167,6 +171,18 @@ class TraceSink
     }
     /** @} */
 
+    /** Keep one sample of the histogram @p name (interned in this
+     *  sink), for merge() and recordSamples(). Not category-filtered. */
+    void
+    sample(const char *name, double value)
+    {
+        samples_.emplace_back(name, value);
+    }
+
+    /** Record every kept sample, oldest first, into @p registry's
+     *  same-named histograms. */
+    void recordSamples(MetricsRegistry &registry) const;
+
     /** @{ Absolute-time emitters for harness-level spans. */
     void
     beginSpanAbs(TrackId track, Category cat, const char *name,
@@ -221,11 +237,20 @@ class TraceSink
 
     /**
      * Append every event of @p shard, shifted by @p offset ns, onto
-     * this sink's same-named tracks (registered on demand). Event
-     * names are re-interned here, so the shard may be destroyed
-     * afterwards. Single-threaded, like every other mutation.
+     * this sink's same-named tracks (registered on demand), and its
+     * samples after this sink's. Event and sample names are
+     * re-interned here, so the shard may be destroyed afterwards.
+     * Single-threaded, like every other mutation.
      */
     void merge(const TraceSink &shard, double offset);
+
+    /**
+     * Merge @p shard after everything recorded so far, inside a span
+     * named @p label on the "harness" track, and move the time base
+     * past it: how a sweep lays its cells' shards end to end, in cell
+     * order.
+     */
+    void appendCell(const TraceSink &shard, const std::string &label);
 
     /** @{ Introspection and export support. */
     std::size_t trackCount() const { return tracks_.size(); }
@@ -252,6 +277,7 @@ class TraceSink
 
     std::uint32_t mask_;
     std::size_t capacity_;
+    std::vector<std::pair<const char *, double>> samples_;
     double base_ = 0.0;
     std::vector<Track> tracks_;
     std::map<std::string, TrackId> track_by_name_;

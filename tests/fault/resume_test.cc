@@ -21,7 +21,9 @@
 #include "harness/latency_experiment.hh"
 #include "harness/lbo_experiment.hh"
 #include "harness/minheap.hh"
+#include "harness/plan_file.hh"
 #include "metrics/export.hh"
+#include "report/experiment.hh"
 #include "workloads/registry.hh"
 
 namespace capo::harness {
@@ -121,6 +123,62 @@ TEST(CheckpointJournalTest, HashMismatchRefusesResume)
         CheckpointJournal::open(path, kHash + 1, true, error);
     EXPECT_EQ(journal, nullptr);
     EXPECT_NE(error.find("header mismatch"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+/** Journals one cell per run; declares the plan flags, so the
+ *  registry's main opens --checkpoint for it. */
+const report::RegisterExperiment kJournaled{[] {
+    report::Experiment e;
+    e.name = "resume_test_journaled";
+    e.description = "test-local: journals one cell";
+    e.add_flags = [](support::Flags &flags) {
+        addPlanFlags(ExperimentPlan::Kind::Lbo, flags);
+    };
+    e.run = [](report::ExperimentContext &context) {
+        harness::planFromFlags(ExperimentPlan::Kind::Lbo, context.flags,
+                               context.options);
+        if (auto *journal = context.journal())
+            journal->append("cell", {"1"});
+        return 0;
+    };
+    return e;
+}()};
+
+int
+runJournaled(std::vector<std::string> args)
+{
+    args.insert(args.begin(), "resume_test_journaled");
+    std::vector<char *> argv;
+    for (auto &arg : args)
+        argv.push_back(arg.data());
+    return report::runExperimentMain("resume_test_journaled",
+                                     static_cast<int>(argv.size()),
+                                     argv.data());
+}
+
+TEST(CheckpointJournalTest, RegistryHashRefusesOnlyResultShapingChanges)
+{
+    const auto path = tempPath("registry");
+    const std::string checkpoint = "--checkpoint=" + path;
+    ASSERT_EQ(runJournaled({checkpoint, "--heap-factors=2"}), 0);
+    ASSERT_EQ(readLines(path).size(), 2u);
+
+    // A value that shapes results: refused (exit 2), journal intact.
+    EXPECT_EQ(runJournaled({checkpoint, "--resume", "--heap-factors=3"}),
+              2);
+    EXPECT_EQ(runJournaled({checkpoint, "--resume", "--seed=7"}), 2);
+    EXPECT_EQ(readLines(path).size(), 2u);
+    // A rejected value exits before the journal opens: no truncation.
+    EXPECT_EQ(runJournaled({checkpoint, "--heap-factors=0"}), 2);
+    EXPECT_EQ(readLines(path).size(), 2u);
+
+    // Fan-out, output and tracing flags are not in the hash.
+    EXPECT_EQ(runJournaled({checkpoint, "--resume", "--heap-factors=2",
+                            "--jobs=4", "--trace-out=t.json",
+                            "--trace-categories=gc",
+                            "--metrics-interval=5", "--jsonl"}),
+              0);
     std::remove(path.c_str());
 }
 

@@ -2,15 +2,17 @@
  * @file
  * Golden-snapshot tests: small reference outputs for the paper's key
  * artifacts — the fig01 suite LBO geomean curve, the tab03 nominal
- * statistics table, the figA heap timeline and the latency sweep's
- * cell quantiles — checked in under tests/golden/data/ and diffed
- * against current output at a fixed seed.
+ * statistics table, the figA heap timeline, the latency sweep's cell
+ * quantiles and the CSV files of one small plan per plan experiment
+ * — checked in under tests/golden/data/ and diffed against current
+ * output at a fixed seed.
  *
  * The diff is numeric-tolerant (relative 1e-9) so cosmetic printf
  * differences never fail the suite while any real change in simulated
- * results does; the hex-exact latency sweep golden is compared byte
- * for byte. On mismatch the current output lands next to the
- * golden file as "<name>.actual" for inspection (CI uploads these).
+ * results does; the hex-exact latency sweep golden and the plan
+ * goldens are compared byte for byte. On mismatch the current output
+ * lands next to the golden file as "<name>.actual" for inspection (CI
+ * uploads these).
  *
  * Regenerating after an intentional behaviour change:
  *
@@ -26,12 +28,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/latency_experiment.hh"
 #include "harness/lbo_experiment.hh"
+#include "harness/plan_file.hh"
 #include "harness/runner.hh"
 #include "metrics/export.hh"
 #include "report/artifact.hh"
@@ -353,6 +357,114 @@ TEST(GoldenTest, ExtOpenLoopTableFromRegistry)
     expectMatchesGolden(
         "ext_openloop.csv",
         registryTableCsv("ext_openloop_pacing", "openloop", {}));
+}
+
+// ---------------------------------------------------------------------
+// The plan experiments, byte-exact: one small plan per kind goes
+// through planArgs and runRegistered, the path runbms takes, and must
+// write the CSV files runbms wrote for it when each kind had its own
+// handler there. The goldens are those files.
+
+/** Run @p plan_text's experiment with artifacts on (a Memory sink:
+ *  nothing reaches disk) and return its files by path. */
+std::map<std::string, std::string>
+planArtifacts(const std::string &plan_text)
+{
+    const auto plan = harness::parsePlan(plan_text);
+    const report::Experiment *experiment =
+        report::ExperimentRegistry::instance().find(
+            harness::planKindName(plan.kind));
+    if (experiment == nullptr) {
+        ADD_FAILURE() << harness::planKindName(plan.kind)
+                      << " is not in the experiment registry";
+        return {};
+    }
+    auto args = harness::planArgs(plan);
+    args.push_back("--artifacts=.");
+    report::ArtifactSink sink(".", report::ArtifactSink::Mode::Memory);
+    report::ResultStore store;
+    std::stringstream stdout_capture;
+    std::streambuf *old_buf = std::cout.rdbuf(stdout_capture.rdbuf());
+    const int code = report::runRegistered(*experiment, args, sink, store);
+    std::cout.rdbuf(old_buf);
+    EXPECT_EQ(code, 0);
+    EXPECT_EQ(store.names().size(), 1u) << "one typed table per plan";
+
+    std::map<std::string, std::string> files;
+    for (const auto &record : sink.artifacts()) {
+        EXPECT_TRUE(record.ok) << record.path;
+        files[record.path] = sink.payload(record.path);
+    }
+    return files;
+}
+
+/** Each written file against its golden, and no file unaccounted. */
+void
+expectPlanGoldens(
+    const std::map<std::string, std::string> &files,
+    const std::vector<std::pair<std::string, std::string>> &goldens)
+{
+    EXPECT_EQ(files.size(), goldens.size());
+    for (const auto &[path, golden] : goldens) {
+        const auto it = files.find(path);
+        if (it == files.end()) {
+            ADD_FAILURE() << "plan wrote no " << path;
+            continue;
+        }
+        expectMatchesGolden(golden, it->second, /*exact=*/true);
+    }
+}
+
+TEST(GoldenTest, LboPlanMatchesRunbmsExact)
+{
+    // kick-the-tires-sized, under faults with retries: fop's cells
+    // quarantine at 2x, one at 4x, so the CSVs carry the gaps.
+    expectPlanGoldens(planArtifacts("experiment   = lbo\n"
+                                    "workloads    = fop, luindex\n"
+                                    "collectors   = serial, g1\n"
+                                    "heap_factors = 2, 4\n"
+                                    "iterations   = 2\n"
+                                    "invocations  = 1\n"
+                                    "faults       = alloc=1e-4, "
+                                    "gc=0.005, timer=0.05\n"
+                                    "fault_seed   = 11\n"
+                                    "retries      = 2\n"),
+                      {{"lbo_fop.csv", "plan_lbo_fop.csv"},
+                       {"lbo_luindex.csv", "plan_lbo_luindex.csv"}});
+}
+
+TEST(GoldenTest, LatencyPlanMatchesRunbmsExact)
+{
+    expectPlanGoldens(planArtifacts("experiment   = latency\n"
+                                    "workloads    = jme\n"
+                                    "collectors   = g1, zgc\n"
+                                    "heap_factors = 2\n"
+                                    "iterations   = 2\n"),
+                      {{"latency_jme_G1_2.0x.csv",
+                        "plan_latency_jme_g1.csv"},
+                       {"latency_jme_ZGC*_2.0x.csv",
+                        "plan_latency_jme_zgc.csv"}});
+}
+
+TEST(GoldenTest, OpenLoopPlanMatchesRunbmsExact)
+{
+    expectPlanGoldens(planArtifacts("experiment   = openloop\n"
+                                    "workloads    = jme\n"
+                                    "collectors   = shenandoah\n"
+                                    "heap_factors = 2\n"
+                                    "rate         = 0.5, 1.2\n"
+                                    "iterations   = 2\n"),
+                      {{"openloop.csv", "plan_openloop.csv"}});
+}
+
+TEST(GoldenTest, MinHeapPlanMatchesRunbmsExact)
+{
+    expectPlanGoldens(planArtifacts("experiment   = minheap\n"
+                                    "workloads    = fop, luindex\n"
+                                    "collectors   = serial, g1\n"
+                                    "iterations   = 2\n"
+                                    "invocations  = 1\n"),
+                      {{"minheap.csv", "plan_minheap.csv"}});
 }
 
 TEST(GoldenTest, EveryBenchAliasIsRegistered)

@@ -15,9 +15,11 @@
 
 #include "harness/lbo_experiment.hh"
 #include "harness/minheap.hh"
+#include "harness/openloop_experiment.hh"
 #include "harness/runner.hh"
 #include "metrics/export.hh"
 #include "trace/chrome_export.hh"
+#include "trace/metrics_registry.hh"
 #include "trace/sink.hh"
 #include "workloads/registry.hh"
 
@@ -214,6 +216,61 @@ TEST(DeterminismTest, ParallelTraceIsIdenticalToSerialTrace)
     Runner(serial_options).run(fop, gc::Algorithm::G1, 2.0);
     Runner(parallel_options).run(fop, gc::Algorithm::G1, 2.0);
 
+    expectSinksIdentical(serial_sink, parallel_sink);
+}
+
+TEST(DeterminismTest, MetricsCsvIdenticalAcrossJobs)
+{
+    // A traced two-cell sweep: at --jobs 8 both cells sample at once,
+    // so a column that kept whichever sample landed last (the retired
+    // `last`) or sums taken in landing order varied run to run.
+    const auto metricsCsv = [](int jobs) {
+        trace::MetricsRegistry registry;
+        trace::TraceSink sink;
+        LboSweepOptions sweep;
+        sweep.factors = {2.0};
+        sweep.collectors = {gc::Algorithm::Serial, gc::Algorithm::G1};
+        sweep.base = baseOptions(jobs);
+        sweep.base.invocations = 1;
+        sweep.base.trace = &sink;
+        sweep.base.metrics = &registry;
+        runLboSweep(workloads::byName("fop"), sweep);
+        sink.recordSamples(registry);
+        std::stringstream out;
+        metrics::exportMetricsCsv(registry, out);
+        return out.str();
+    };
+    const std::string serial = metricsCsv(1);
+    EXPECT_NE(serial.find("heap.occupied_bytes,histogram"),
+              std::string::npos);
+    EXPECT_EQ(serial, metricsCsv(8));
+}
+
+TEST(DeterminismTest, TracedOpenLoopSweepIdenticalAcrossJobs)
+{
+    // Open-loop cells run side by side, each into its own shard merged
+    // in cell order: the timeline and the metric samples must not
+    // depend on which cell finished first.
+    const auto sweepInto = [](int jobs, trace::TraceSink &sink) {
+        trace::MetricsRegistry registry;
+        OpenLoopSweepOptions sweep;
+        sweep.load_factors = {0.5, 1.2};
+        sweep.collectors = {gc::Algorithm::G1};
+        sweep.modes = {"closed", "static"};
+        sweep.base = baseOptions(jobs);
+        sweep.base.trace = &sink;
+        sweep.base.metrics = &registry;
+        runOpenLoopSweep({"jme"}, sweep);
+        sink.recordSamples(registry);
+        std::stringstream out;
+        metrics::exportMetricsCsv(registry, out);
+        return out.str();
+    };
+    trace::TraceSink serial_sink, parallel_sink;
+    const std::string serial = sweepInto(1, serial_sink);
+    EXPECT_NE(serial.find("heap.occupied_bytes,histogram"),
+              std::string::npos);
+    EXPECT_EQ(serial, sweepInto(8, parallel_sink));
     expectSinksIdentical(serial_sink, parallel_sink);
 }
 

@@ -5,10 +5,186 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+
 #include "harness/plan_file.hh"
+#include "report/experiment.hh"
+
+#ifndef CAPO_EXPERIMENTS_DIR
+#error "plan_file_test needs CAPO_EXPERIMENTS_DIR (see tests/CMakeLists.txt)"
+#endif
 
 namespace capo::harness {
 namespace {
+
+/** The plan that @p args (a plan experiment's flags) describe, parsed
+ *  the way the registry parses a plan experiment's command line. */
+ExperimentPlan
+planFromArgs(ExperimentPlan::Kind kind,
+             const std::vector<std::string> &args)
+{
+    auto flags = report::standardFlags("plan");
+    addPlanFlags(kind, flags);
+    std::vector<const char *> argv = {planKindName(kind)};
+    for (const auto &arg : args)
+        argv.push_back(arg.c_str());
+    std::string error;
+    EXPECT_TRUE(flags.tryParse(static_cast<int>(argv.size()),
+                               argv.data(), error))
+        << error;
+    const ExperimentOptions defaults;
+    return planFromFlags(kind, flags,
+                         report::optionsFromFlags(
+                             flags, defaults.invocations,
+                             defaults.iterations));
+}
+
+std::uint64_t
+bits(double value)
+{
+    std::uint64_t out;
+    std::memcpy(&out, &value, sizeof out);
+    return out;
+}
+
+std::vector<std::uint64_t>
+bits(const std::vector<double> &values)
+{
+    std::vector<std::uint64_t> out;
+    for (double value : values)
+        out.push_back(bits(value));
+    return out;
+}
+
+/** Field for field, doubles by bit pattern. */
+void
+expectSamePlan(const ExperimentPlan &a, const ExperimentPlan &b)
+{
+    EXPECT_EQ(a.kind, b.kind);
+    EXPECT_EQ(a.workloads, b.workloads);
+    EXPECT_EQ(a.collectors, b.collectors);
+    EXPECT_EQ(bits(a.heap_factors), bits(b.heap_factors));
+    EXPECT_EQ(a.options.iterations, b.options.iterations);
+    EXPECT_EQ(a.options.invocations, b.options.invocations);
+    EXPECT_EQ(a.options.size, b.options.size);
+    EXPECT_EQ(a.options.base_seed, b.options.base_seed);
+    EXPECT_EQ(a.options.trace_rate, b.options.trace_rate);
+    EXPECT_EQ(bits(a.options.time_limit_sec),
+              bits(b.options.time_limit_sec));
+    EXPECT_EQ(a.options.jobs, b.options.jobs);
+    EXPECT_EQ(bits(a.options.metrics_interval_ms),
+              bits(b.options.metrics_interval_ms));
+    for (std::size_t i = 0; i < fault::kSiteCount; ++i) {
+        EXPECT_EQ(bits(a.options.faults.rates[i]),
+                  bits(b.options.faults.rates[i]))
+            << fault::siteName(static_cast<fault::Site>(i));
+    }
+    EXPECT_EQ(a.options.faults.seed, b.options.faults.seed);
+    EXPECT_EQ(a.options.retries, b.options.retries);
+    EXPECT_EQ(bits(a.options.retry_backoff_ms),
+              bits(b.options.retry_backoff_ms));
+    EXPECT_EQ(a.trace_out, b.trace_out);
+    EXPECT_EQ(a.trace_categories, b.trace_categories);
+    EXPECT_EQ(a.checkpoint, b.checkpoint);
+    EXPECT_EQ(a.arrival.kind, b.arrival.kind);
+    EXPECT_EQ(bits(a.arrival.burst_ratio), bits(b.arrival.burst_ratio));
+    EXPECT_EQ(bits(a.arrival.burst_duty), bits(b.arrival.burst_duty));
+    EXPECT_EQ(bits(a.load_factors), bits(b.load_factors));
+    EXPECT_EQ(a.pacing_modes, b.pacing_modes);
+}
+
+void
+expectRoundTrips(const ExperimentPlan &plan)
+{
+    expectSamePlan(plan, planFromArgs(plan.kind, planArgs(plan)));
+}
+
+TEST(PlanFileTest, CommittedPlansRoundTripThroughArgs)
+{
+    int plans = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(CAPO_EXPERIMENTS_DIR)) {
+        if (entry.path().extension() != ".capo")
+            continue;
+        SCOPED_TRACE(entry.path().string());
+        expectRoundTrips(loadPlan(entry.path().string()));
+        ++plans;
+    }
+    EXPECT_GE(plans, 7);
+}
+
+TEST(PlanFileTest, EveryKeyRoundTripsThroughArgs)
+{
+    // Every key off its default, with a seed above 2^63 (plan seeds
+    // are u64) and doubles that have no short decimal.
+    expectRoundTrips(parsePlan("experiment = openloop\n"
+                               "workloads = lusearch, h2\n"
+                               "collectors = shenandoah, genzgc\n"
+                               "heap_factors = 1.1, 0.3\n"
+                               "iterations = 3\n"
+                               "invocations = 7\n"
+                               "jobs = 0\n"
+                               "size = small\n"
+                               "seed = 18446744073709551615\n"
+                               "trace_out = out dir/t.json\n"
+                               "trace_categories = gc, fault\n"
+                               "metrics_interval = 0.1\n"
+                               "faults = alloc=1e-4, artifact=0.3\n"
+                               "fault_seed = 9223372036854775809\n"
+                               "retries = 4\n"
+                               "checkpoint = run.ckpt\n"
+                               "arrival = onoff\n"
+                               "rate = 0.7, 100\n"
+                               "burst = 2.5:0.1\n"
+                               "pacing = adaptive, closed\n"));
+    expectRoundTrips(parsePlan("experiment = latency\n"
+                               "trace_categories = none\n"
+                               "seed = 9223372036854775808\n"));
+}
+
+TEST(PlanFileTest, NoFlagsIsTheEmptyPlan)
+{
+    // `capo-bench run <kind>` with no flags runs an empty plan.
+    for (auto kind :
+         {ExperimentPlan::Kind::Lbo, ExperimentPlan::Kind::Latency,
+          ExperimentPlan::Kind::MinHeap,
+          ExperimentPlan::Kind::OpenLoop}) {
+        SCOPED_TRACE(planKindName(kind));
+        expectSamePlan(
+            parsePlan(std::string("experiment = ") + planKindName(kind)),
+            planFromArgs(kind, {}));
+    }
+}
+
+TEST(PlanFileTest, FlagValuesGoThroughTheKeyValidators)
+{
+    const auto rejects = [](const std::vector<std::string> &args,
+                            const std::string &fragment) {
+        try {
+            planFromArgs(ExperimentPlan::Kind::OpenLoop, args);
+            ADD_FAILURE() << "no ParseError for " << args.front();
+        } catch (const ParseError &e) {
+            EXPECT_NE(std::string(e.what()).find(fragment),
+                      std::string::npos)
+                << e.what();
+            EXPECT_EQ(std::string(e.what()).find("plan file"),
+                      std::string::npos)
+                << "a flag is not a plan file line";
+        }
+    };
+    rejects({"--heap-factors=1e308"}, "heap factor must be at most");
+    rejects({"--rate=inf"}, "bad load factor");
+    rejects({"--rate=1e4"}, "load factor must be at most 100");
+    rejects({"--metrics-interval=1e-9"},
+            "metrics_interval must be 0 (off) or at least 0.1");
+    rejects({"--workloads=quake"}, "unknown workload");
+    rejects({"--pacing=bogus"}, "unknown pacing mode");
+    rejects({"--seed=-3"}, "bad seed");
+    rejects({"--iterations=5x"}, "bad iterations");
+    rejects({"--jobs=-1"}, "jobs must be >= 0");
+    rejects({"--workloads=fop"}, "no latency-sensitive workloads");
+}
 
 TEST(PlanFileTest, DefaultsToFullSuiteLbo)
 {
@@ -169,6 +345,14 @@ TEST(PlanFileTest, RejectsMalformedNumericValues)
     expectParseError("rate = 1e308\n", "load factor must be at most");
     expectParseError("heap_factors = 1e308\n",
                      "heap factor must be at most");
+    // Finite values whose run would take hours: an arrival rate 1e4
+    // times lane saturation, or a sample every picosecond.
+    expectParseError("rate = 0.5, 101\n",
+                     "load factor must be at most 100");
+    expectParseError("metrics_interval = 1e-9\n",
+                     "metrics_interval must be 0 (off) or at least 0.1");
+    expectParseError("metrics_interval = -1\n",
+                     "metrics_interval must be 0 (off) or at least 0.1");
 }
 
 TEST(PlanFileTest, ParsesResilienceKeys)

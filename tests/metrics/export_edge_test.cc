@@ -94,7 +94,7 @@ TEST(MetricsExportEdgeTest, EmptyRegistryWritesHeaderOnly)
     EXPECT_EQ(exportMetricsCsv(registry, out), 0u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 1u);
-    EXPECT_EQ(lines[0], "name,kind,count,min,mean,max,stddev,last");
+    EXPECT_EQ(lines[0], "name,kind,count,min,mean,max,stddev");
 }
 
 TEST(MetricsExportEdgeTest, CounterGaugeHistogramRows)
@@ -110,9 +110,9 @@ TEST(MetricsExportEdgeTest, CounterGaugeHistogramRows)
     EXPECT_EQ(exportMetricsCsv(registry, out), 3u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 4u);
-    EXPECT_EQ(lines[1], "events,counter,1,7,7,7,0,7");
-    EXPECT_EQ(lines[2], "level,gauge,1,0.25,0.25,0.25,0,0.25");
-    EXPECT_EQ(lines[3], "pause,histogram,2,2,3,4,1,4");
+    EXPECT_EQ(lines[1], "events,counter,1,7,7,7,0");
+    EXPECT_EQ(lines[2], "level,gauge,1,0.25,0.25,0.25,0");
+    EXPECT_EQ(lines[3], "pause,histogram,2,2,3,4,1");
 }
 
 TEST(MetricsExportEdgeTest, UnsetGaugeReportsZeroCount)
@@ -123,7 +123,7 @@ TEST(MetricsExportEdgeTest, UnsetGaugeReportsZeroCount)
     EXPECT_EQ(exportMetricsCsv(registry, out), 1u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[1], "never-set,gauge,0,0,0,0,0,0");
+    EXPECT_EQ(lines[1], "never-set,gauge,0,0,0,0,0");
 }
 
 TEST(MetricsExportEdgeTest, EmptyHistogramRowIsAllZeros)
@@ -134,7 +134,7 @@ TEST(MetricsExportEdgeTest, EmptyHistogramRowIsAllZeros)
     EXPECT_EQ(exportMetricsCsv(registry, out), 1u);
     const auto lines = splitLines(out.str());
     ASSERT_EQ(lines.size(), 2u);
-    EXPECT_EQ(lines[1], "quiet,histogram,0,0,0,0,0,0");
+    EXPECT_EQ(lines[1], "quiet,histogram,0,0,0,0,0");
 }
 
 } // namespace

@@ -8,9 +8,10 @@
  * RETRY_LATER, deadline expiry, graceful drain, and conn_io fault
  * determinism across worker counts.
  *
- * The experiments used here are test-local registrations (this
- * binary's own TU) so the suite stays fast and needs no
- * capo_experiments link.
+ * Most experiments used here are test-local registrations (this
+ * binary's own TU) so the suite stays fast; the served plan run and
+ * the bad-argument sweep use the real registrations
+ * (capo_experiments).
  */
 
 #include <gtest/gtest.h>
@@ -696,6 +697,102 @@ TEST(ServeServerTest, UnknownExperimentAndBadArgsAnswerError)
     EXPECT_NE(response.message.find("code 3"), std::string::npos);
 
     // The daemon survived all of it.
+    ASSERT_TRUE(client.health(response, error)) << error;
+    EXPECT_EQ(response.message, "HEALTHY");
+}
+
+TEST(ServeServerTest, ServedLboPlanMatchesDirectRegistryBitwise)
+{
+    // kick-the-tires.capo's keys as the lbo experiment's flags.
+    const std::vector<std::string> args = {
+        "--workloads=fop,luindex", "--collectors=serial,g1",
+        "--heap-factors=2,4",      "--iterations=2",
+        "--invocations=1",         "--jobs=2"};
+    const std::string reference = directBody("lbo", args);
+
+    ServerOptions options;
+    TestServer harness(options, "plan");
+    ClientOptions copt;
+    copt.socket_path = harness.socketPath();
+    Client client(copt);
+    Response response;
+    std::string error;
+    ASSERT_TRUE(client.run("lbo", args, 0.0, response, error)) << error;
+    ASSERT_EQ(response.status, Status::Ok) << response.message;
+    EXPECT_EQ(response.body, reference);
+
+    report::ResultStore served, direct;
+    ASSERT_TRUE(decodeStore(response.body, served, error)) << error;
+    ASSERT_TRUE(decodeStore(reference, direct, error)) << error;
+    const auto *table = served.find("lbo");
+    ASSERT_NE(table, nullptr);
+    EXPECT_EQ(table->rows().size(), 8u);  // 2 workloads x 2 x 2
+    EXPECT_TRUE(table->identical(*direct.find("lbo")));
+}
+
+TEST(ServeServerTest, BadArgumentsNeitherKillNorHangTheDaemon)
+{
+    // Each of these used to exit the daemon (fatal()), abort it (an
+    // uncaught exception, a division by zero) or run forever holding
+    // the run lock. Now each is a bad argument, answered at once.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        bad = {
+            {"ext_openloop_pacing", {"--workload", "quake"}},
+            {"ext_openloop_pacing", {"--workload", "fop"}},
+            {"ext_openloop_pacing", {"--rates", "abc"}},
+            {"ext_openloop_pacing", {"--rates", "inf"}},
+            {"ext_openloop_pacing", {"--rates", "1e308"}},
+            {"ext_openloop_pacing", {"--modes", "bogus"}},
+            {"ext_openloop_pacing", {"--arrival", "bogus"}},
+            {"ext_openloop_pacing", {"--factor", "0"}},
+            {"ext_openloop_pacing", {"--factor", "1e308"}},
+            {"ext_openloop_pacing", {"--lanes", "-1"}},
+            {"ext_openloop_pacing", {"--lanes", "1024"}},
+            {"ext_openloop_pacing", {"--rates", "1e4"}},
+            {"ext_criticaljops", {"--workload", "quake"}},
+            {"ext_criticaljops", {"--factor", "-1"}},
+            {"ext_footprint", {"quake"}},
+            {"ext_footprint", {"--factor", "inf"}},
+            {"figA_heap_timeline", {"quake"}},
+            {"figA_heap_timeline", {"--buckets", "0"}},
+            {"figA_lbo_per_benchmark", {"quake"}},
+            {"figA_latency_all", {"quake"}},
+            {"tab03_nominal_all", {"quake"}},
+            {"tabA_minheap", {"quake"}},
+            {"tabB_characterization", {"quake"}},
+            {"tabC_bytecode", {"quake"}},
+            {"tabC_bytecode", {"--budget", "-1"}},
+            {"fig01_lbo_geomean", {"--jobs", "-2"}},
+            {"fig01_lbo_geomean", {"--seed", "banana"}},
+            {"lbo", {"--heap-factors", "1e308"}},
+            {"openloop", {"--rate", "inf"}},
+            {"openloop", {"--rate", "1e5"}},
+            {"lbo", {"--trace-out", "t.json", "--metrics-interval",
+                     "1e-9"}},
+        };
+
+    ServerOptions options;
+    TestServer harness(options, "bad_args");
+    ClientOptions copt;
+    copt.socket_path = harness.socketPath();
+    Client client(copt);
+    Response response;
+    std::string error;
+    for (const auto &[name, args] : bad) {
+        SCOPED_TRACE(name + " " + args.front());
+        ASSERT_TRUE(client.run(name, args, 0.0, response, error))
+            << error;
+        EXPECT_EQ(response.status, Status::Error);
+        EXPECT_NE(response.message.find("bad arguments"),
+                  std::string::npos)
+            << response.message;
+    }
+
+    // The same server still runs a valid request to completion.
+    ASSERT_TRUE(client.run("ext_openloop_pacing", {}, 0.0, response,
+                           error))
+        << error;
+    EXPECT_EQ(response.status, Status::Ok) << response.message;
     ASSERT_TRUE(client.health(response, error)) << error;
     EXPECT_EQ(response.message, "HEALTHY");
 }
