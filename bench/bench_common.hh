@@ -92,7 +92,7 @@ harness::MinHeapGrid minHeapSweep(const harness::ExperimentPlan &plan,
 /**
  * Presentation table for the experiment bodies, rendered through
  * report::ResultTable::renderAscii — the one table renderer (typed
- * store tables, capo-client output and bench stdout all agree).
+ * store tables and bench stdout agree).
  * Cells are pre-formatted strings; renderAscii right-aligns the
  * numeric-presentation columns. Replaces the hand-built
  * support::TextTable + per-column alignment lists every bench binary

@@ -1,10 +1,9 @@
 /**
  * @file
- * capo-bench: the experiment multiplexer. One binary that can list
- * every registered reproduction experiment and run any of them by
+ * capo-bench: the experiment multiplexer. The one binary that lists
+ * every registered reproduction experiment and runs any of them by
  * name — `capo-bench list`, `capo-bench run fig01_lbo_geomean
- * --full`. The per-figure binaries remain as aliases over the same
- * registrations (alias_main.cc).
+ * --full`.
  */
 
 #include "report/experiment.hh"

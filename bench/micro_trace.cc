@@ -92,7 +92,8 @@ BM_TraceCounter(benchmark::State &state)
 }
 BENCHMARK(BM_TraceCounter);
 
-/** Histogram record: bucket index is a log10 plus a floor. */
+/** Histogram record: a count bump, CAS adds to the sum and the sum of
+ *  squares, and the min/max checks. */
 void
 BM_HistogramRecord(benchmark::State &state)
 {

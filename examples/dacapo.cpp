@@ -117,12 +117,20 @@ main(int argc, char **argv)
     }
     // A scratch plan, so the plan keys' validators check the values:
     // a bad one exits 2 instead of running a 0 MB or an infinite heap,
-    // or silently running the default size.
+    // or silently running the default size. An unknown collector
+    // exits 2 the same way.
     harness::ExperimentPlan plan;
     double heap_factor = 0.0, heap_mb = 0.0;
     const workloads::Descriptor *found = nullptr;
+    gc::Algorithm algorithm = gc::Algorithm::G1;
     try {
         found = &harness::resolveWorkload(flags.positionals()[0]);
+        if (!gc::tryAlgorithmFromName(flags.getString("gc"), algorithm)) {
+            throw harness::ParseError(
+                0, "unknown collector '" + flags.getString("gc") +
+                       "' (expected serial, parallel, g1, shenandoah, "
+                       "zgc or genzgc)");
+        }
         heap_factor = harness::parseFactor(flags.getString("heap-factor"),
                                            "--heap-factor");
         if (flags.getString("heap-mb") != "0")
@@ -166,7 +174,6 @@ main(int argc, char **argv)
         support::fatal(workload.name, " has no ",
                        workloads::sizeName(options.size), " size");
 
-    const auto algorithm = gc::algorithmFromName(flags.getString("gc"));
     harness::Runner runner(options);
 
     std::cout << "===== DaCapo-sim " << workload.name << " starting ("

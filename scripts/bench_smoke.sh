@@ -6,8 +6,13 @@
 #
 #  1. bench/ sources must not write files directly (std::ofstream) —
 #     all artifact I/O goes through report::ArtifactSink;
-#  2. every bench binary (micro_* excepted) must appear in the
-#     registry listing, so a hand-rolled main cannot dodge the sweep.
+#  2. bench/ builds capo-bench and the micro_* benches; any other
+#     binary must be named in the registry listing, so a hand-rolled
+#     main cannot dodge the sweep.
+#
+# The `latency` plan experiment writes one raw per-request CSV per
+# cell, so it runs on one workload (jme): its raw CSVs and typed table
+# still land, without writing all nine workloads' requests.
 #
 # Usage: scripts/bench_smoke.sh [build-dir] [artifact-dir]
 set -euo pipefail
@@ -53,8 +58,12 @@ done
 echo "== running $(printf '%s\n' "$list" | wc -l) experiments (quick mode)"
 while IFS= read -r name; do
     printf '   %-28s' "$name"
+    case "$name" in
+        latency) extra="--workloads jme" ;;
+        *) extra="" ;;
+    esac
     start=$(date +%s)
-    if ! "$BENCH" run "$name" --invocations 1 --iterations 1 \
+    if ! "$BENCH" run "$name" $extra --invocations 1 --iterations 1 \
             --artifacts "$ART_DIR" >"$ART_DIR/$name.log" 2>&1; then
         echo "FAIL (log tail follows)"
         tail -n 40 "$ART_DIR/$name.log" >&2

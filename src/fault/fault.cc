@@ -59,8 +59,6 @@ siteFromName(const std::string &name, Site &site)
         site = Site::WorkerDeath;
     } else if (name == "artifact" || name == "artifact-io") {
         site = Site::ArtifactIo;
-    } else if (name == "conn" || name == "conn-io") {
-        site = Site::ConnIo;
     } else {
         return false;
     }
@@ -85,8 +83,6 @@ siteName(Site site)
         return "worker";
       case Site::ArtifactIo:
         return "artifact-io";
-      case Site::ConnIo:
-        return "conn-io";
     }
     return "?";
 }

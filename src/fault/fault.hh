@@ -20,9 +20,7 @@
  * stops taking tasks; results must be unaffected), artifact
  * write/flush failures in the report layer's ArtifactSink (retried,
  * then quarantined — a sweep never dies because a CSV would not
- * land), and connection drops/short reads in the serve layer's wire
- * protocol (retried per attempt, then the connection is quarantined —
- * the server never crashes because a socket misbehaved).
+ * land).
  */
 
 #ifndef CAPO_FAULT_FAULT_HH
@@ -47,11 +45,10 @@ enum class Site : std::uint8_t {
     TimerPerturb,  ///< Timer due times get deterministic jitter.
     WorkerDeath,   ///< Pool worker stops taking tasks (exec layer).
     ArtifactIo,    ///< Artifact write/flush fails (report layer).
-    ConnIo,        ///< Connection drop/short read (serve layer).
 };
 
 /** Number of sites (array sizing). */
-constexpr std::size_t kSiteCount = 7;
+constexpr std::size_t kSiteCount = 6;
 
 /** Short machine name of a site ("alloc-oom", "timer", ...). */
 const char *siteName(Site site);
@@ -101,8 +98,7 @@ struct FaultPlan
  *  - "none" / "" / "0"            disabled
  *
  * Site names: alloc (alloc-oom), stall (alloc-stall), gc (gc-abort),
- * timer, worker, artifact (artifact-io), conn (conn-io). Returns
- * false and sets
+ * timer, worker, artifact (artifact-io). Returns false and sets
  * @p error on malformed input (never exits: plan files surface this
  * as a ParseError).
  */

@@ -150,26 +150,6 @@ ArtifactSink::writeTable(const std::string &path,
     });
 }
 
-bool
-ArtifactSink::remove(const std::string &path)
-{
-    switch (mode_) {
-      case Mode::Discard:
-        return false;
-      case Mode::Memory:
-        return payloads_.erase(path) > 0;
-      case Mode::Disk: {
-        const std::string full =
-            isAbsolute(path) || root_.empty() || root_ == "."
-                ? path
-                : root_ + "/" + path;
-        std::error_code ec;
-        return std::filesystem::remove(full, ec);
-      }
-    }
-    return false;
-}
-
 std::vector<ArtifactRecord>
 ArtifactSink::quarantined() const
 {

@@ -97,15 +97,6 @@ class ArtifactSink
     bool writeTable(const std::string &path, const ResultTable &table,
                     Format format);
 
-    /**
-     * Remove a previously written artifact (cache eviction). Disk
-     * mode unlinks the file under the root; Memory mode drops the
-     * stored payload; Discard is a no-op. Removal is best-effort
-     * bookkeeping, not a produced artifact: it is neither fault-
-     * injected nor recorded. Returns true when something was removed.
-     */
-    bool remove(const std::string &path);
-
     /** Every artifact asked of this sink, in write order. */
     const std::vector<ArtifactRecord> &artifacts() const
     {

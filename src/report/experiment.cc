@@ -281,8 +281,8 @@ benchMain(int argc, char **argv)
             << "usage: capo-bench <command>\n"
                "  list | --list      list registered experiments\n"
                "                     (--list: bare names for scripts)\n"
-               "  run <name> [args]  run one experiment (args as the\n"
-               "                     standalone binary takes them)\n";
+               "  run <name> [args]  run one experiment with its own\n"
+               "                     flags (run <name> --help lists them)\n";
         return 2;
     };
     if (argc < 2)

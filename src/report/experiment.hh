@@ -1,17 +1,16 @@
 /**
  * @file
- * The experiment registry: every reproduction binary as a declarative
- * registration instead of a hand-rolled main().
+ * The experiment registry: every reproduction experiment as a
+ * declarative registration instead of a hand-rolled main().
  *
- * Each fig/tab/ext binary used to duplicate the same plumbing — flag
- * declaration, --full presets, banner printing, ad-hoc CSV emission.
- * That collapses here: an `Experiment` declares its name, banner,
- * quick presets and a run() body; `runExperimentMain()` is the one
- * main loop (flags → options → banner → run → artifact flush through
- * the ArtifactSink); and `benchMain()` is the `capo-bench`
- * multiplexer that can list and run any registered experiment by
- * name. The historical one-binary-per-figure targets remain as thin
- * aliases over the same registrations.
+ * Each fig/tab/ext experiment used to be a binary duplicating the same
+ * plumbing — flag declaration, --full presets, banner printing, ad-hoc
+ * CSV emission. That collapses here: an `Experiment` declares its
+ * name, banner, quick presets and a run() body; `runExperimentMain()`
+ * is the one main loop (flags → options → banner → run → artifact
+ * flush through the ArtifactSink); and `benchMain()` is the
+ * `capo-bench` multiplexer that can list and run any registered
+ * experiment by name (`capo-bench run fig01_lbo_geomean`).
  *
  * Registration is a static object per experiment translation unit:
  *
@@ -68,16 +67,15 @@ struct ExperimentContext
      *  the first call, so a body calls this once its arguments are
      *  checked and a bad one cannot truncate the journal. Throws
      *  harness::ParseError when the journal cannot be opened.
-     *  runRegistered never opens one: a served request writes no
-     *  file. */
+     *  runRegistered never opens one. */
     std::function<harness::CheckpointJournal *()> journal;
 };
 
 /** A declaratively registered reproduction experiment. */
 struct Experiment
 {
-    /** Registry name; by convention equal to the historical binary
-     *  name (e.g. "fig01_lbo_geomean"). */
+    /** Registry name, as `capo-bench run` takes it (e.g.
+     *  "fig01_lbo_geomean"). */
     std::string name;
 
     /** Banner title ("Lower-bound overheads, geomean ..."). */
@@ -136,9 +134,9 @@ optionsFromFlags(const support::Flags &flags, int quick_invocations = 3,
 
 /**
  * Run one registered experiment inside an existing harness (tests,
- * golden snapshots, the server): parse @p args (argv-style, no
- * program name), build the context over the supplied @p sink and
- * @p store, and invoke the body. The banner is *not* printed, and no
+ * golden snapshots): parse @p args (argv-style, no program name),
+ * build the context over the supplied @p sink and @p store, and
+ * invoke the body. The banner is *not* printed, and no
  * checkpoint journal is opened. A bad argument — an unknown flag, a
  * malformed value, one the body's validators reject — throws
  * harness::ParseError; nothing exits the process.

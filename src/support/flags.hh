@@ -47,11 +47,11 @@ class Flags
     void parse(int argc, const char *const *argv);
 
     /**
-     * Non-fatal parse for untrusted input (the serve layer parses
-     * request args inside a long-running daemon, where exit() would be
-     * a crash vector). Returns false and sets @p error on unknown
-     * flags, missing values or --help; flag values may be partially
-     * updated on failure, so parse into a scratch copy.
+     * Non-fatal parse (the experiment registry turns a failure into
+     * harness::ParseError, so runRegistered never exits its caller).
+     * Returns false and sets @p error on unknown flags, missing values
+     * or --help; flag values may be partially updated on failure, so
+     * parse into a scratch copy.
      */
     bool tryParse(int argc, const char *const *argv,
                   std::string &error);
@@ -61,9 +61,9 @@ class Flags
 
     /**
      * Do all current values parse as their declared types? False with
-     * @p error naming the first offender. Pairs with tryParse for
-     * untrusted input: the typed accessors are fatal on malformed
-     * values, so a daemon validates before handing flags to a body.
+     * @p error naming the first offender. Pairs with tryParse: the
+     * typed accessors are fatal on malformed values, so the registry
+     * validates before handing flags to a body.
      */
     bool valuesValid(std::string &error) const;
 

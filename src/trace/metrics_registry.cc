@@ -15,30 +15,6 @@ Histogram::record(double value)
     count_.fetch_add(1, std::memory_order_relaxed);
     detail::atomicAdd(sum_, value);
     detail::atomicAdd(sum_sq_, value * value);
-    buckets_[bucketOf(value)].fetch_add(1, std::memory_order_relaxed);
-}
-
-int
-Histogram::bucketOf(double value)
-{
-    if (!(value > 0.0))
-        return 0;
-    const double position =
-        kBucketsPerDecade * std::log10(value / kFirstBucketValue);
-    const int bucket = 1 + static_cast<int>(std::floor(position));
-    return std::clamp(bucket, 1, kBuckets - 1);
-}
-
-double
-Histogram::bucketMid(int bucket)
-{
-    if (bucket == 0)
-        return 0.0;
-    // Geometric midpoint of [lo, lo * step).
-    const double step = std::pow(10.0, 1.0 / kBucketsPerDecade);
-    const double lo =
-        kFirstBucketValue * std::pow(step, bucket - 1);
-    return lo * std::sqrt(step);
 }
 
 double
@@ -70,23 +46,6 @@ Histogram::stddev() const
     const double sq = sum_sq_.load(std::memory_order_relaxed);
     const double var = std::max(0.0, sq / n - mean() * mean());
     return std::sqrt(var);
-}
-
-double
-Histogram::quantile(double q) const
-{
-    CAPO_ASSERT(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
-    if (count() == 0)
-        return 0.0;
-    const auto target = static_cast<std::uint64_t>(
-        std::ceil(q * static_cast<double>(count())));
-    std::uint64_t cumulative = 0;
-    for (int b = 0; b < kBuckets; ++b) {
-        cumulative += buckets_[b].load(std::memory_order_relaxed);
-        if (cumulative >= std::max<std::uint64_t>(target, 1))
-            return std::clamp(bucketMid(b), min(), max());
-    }
-    return max();
 }
 
 MetricsRegistry::Entry &
@@ -121,15 +80,6 @@ Histogram &
 MetricsRegistry::histogram(const std::string &name)
 {
     return fetch(name, Kind::Histogram).histogram;
-}
-
-void
-MetricsRegistry::forEach(
-    const std::function<void(const Entry &)> &visit) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &entry : entries_)
-        visit(entry);
 }
 
 bool

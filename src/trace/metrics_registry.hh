@@ -1,6 +1,6 @@
 /**
  * @file
- * Named metrics: counters, gauges and log-bucketed histograms.
+ * Named metrics: counters, gauges and summary histograms.
  *
  * The registry is the aggregate side of the tracing subsystem: where
  * the TraceSink keeps the raw timeline, the registry keeps summary
@@ -14,18 +14,16 @@
  * parallel sweep (trace *timelines* shard per invocation, aggregate
  * *statistics* do not), so all mutation paths are lock-free atomics —
  * a CAS-add per sample — and name registration takes a mutex. Reads
- * of multi-word summaries (mean, stddev, quantile) are intended for
- * quiescent export, not for mid-run consistency.
+ * of multi-word summaries (mean, stddev) are intended for quiescent
+ * export, not for mid-run consistency.
  */
 
 #ifndef CAPO_TRACE_METRICS_REGISTRY_HH
 #define CAPO_TRACE_METRICS_REGISTRY_HH
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <limits>
 #include <map>
 #include <mutex>
@@ -102,12 +100,8 @@ class Gauge
 };
 
 /**
- * Log-bucketed histogram of non-negative samples.
- *
- * Buckets are spaced 8 per decade from 1e-3 upward (16 decades), with
- * a dedicated bucket for values <= 0; quantile() returns the geometric
- * midpoint of the selected bucket, so it is approximate to roughly
- * +/- 15 % — plenty for summary tables of heap sizes and durations.
+ * Summary histogram: count, sum, sum of squares, min and max of its
+ * samples — what metrics.csv reports (count/min/mean/max/stddev).
  *
  * record() is wait-free per word; concurrent recorders may interleave,
  * so cross-field reads (count vs sum) are only exact at quiescence.
@@ -115,11 +109,6 @@ class Gauge
 class Histogram
 {
   public:
-    static constexpr int kBucketsPerDecade = 8;
-    static constexpr int kDecades = 16;
-    static constexpr double kFirstBucketValue = 1e-3;
-    static constexpr int kBuckets = kBucketsPerDecade * kDecades + 1;
-
     void record(double value);
 
     std::uint64_t
@@ -134,14 +123,7 @@ class Histogram
     double mean() const;
     double stddev() const;
 
-    /** Approximate @p q quantile (q in [0, 1]); 0 when empty. */
-    double quantile(double q) const;
-
   private:
-    static int bucketOf(double value);
-    static double bucketMid(int bucket);
-
-    std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<double> sum_{0.0};
     std::atomic<double> sum_sq_{0.0};
@@ -183,17 +165,6 @@ class MetricsRegistry
     /** Entries in registration order (for reports and CSV export);
      *  only safe while no concurrent registration is possible. */
     const std::deque<Entry> &entries() const { return entries_; }
-
-    /**
-     * Visit every entry in registration order while holding the
-     * registration mutex, so live scrapers (the serve health
-     * endpoint) can iterate concurrently with metric *creation*.
-     * Values read inside the callback are still relaxed-atomic reads:
-     * exact at quiescence, near-current under load. The callback must
-     * not register metrics (deadlock).
-     */
-    void forEach(
-        const std::function<void(const Entry &)> &visit) const;
 
     /** Printable name of a metric kind. */
     static const char *kindName(Kind kind);

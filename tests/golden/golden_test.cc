@@ -467,11 +467,79 @@ TEST(GoldenTest, MinHeapPlanMatchesRunbmsExact)
                       {{"minheap.csv", "plan_minheap.csv"}});
 }
 
-TEST(GoldenTest, EveryBenchAliasIsRegistered)
+// ---------------------------------------------------------------------
+// The registry's argument contract: every experiment's own flags go
+// through the plan validators and run-cost bounds, so a bad value
+// throws harness::ParseError before any work. Nothing exits, aborts,
+// divides by zero or runs for hours.
+
+TEST(GoldenTest, BadArgumentsThrowParseError)
 {
-    // The CMake alias targets and the registry must agree: a bench
-    // main that bypasses the registry would silently fall out of
-    // capo-bench, the golden snapshots and the CI smoke sweep.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        bad = {
+            {"ext_openloop_pacing", {"--workload", "quake"}},
+            {"ext_openloop_pacing", {"--workload", "fop"}},
+            {"ext_openloop_pacing", {"--rates", "abc"}},
+            {"ext_openloop_pacing", {"--rates", "inf"}},
+            {"ext_openloop_pacing", {"--rates", "1e308"}},
+            {"ext_openloop_pacing", {"--modes", "bogus"}},
+            {"ext_openloop_pacing", {"--arrival", "bogus"}},
+            {"ext_openloop_pacing", {"--factor", "0"}},
+            {"ext_openloop_pacing", {"--factor", "1e308"}},
+            {"ext_openloop_pacing", {"--lanes", "-1"}},
+            {"ext_openloop_pacing", {"--lanes", "1024"}},
+            {"ext_openloop_pacing", {"--rates", "1e4"}},
+            {"ext_criticaljops", {"--workload", "quake"}},
+            {"ext_criticaljops", {"--factor", "-1"}},
+            {"ext_footprint", {"quake"}},
+            {"ext_footprint", {"--factor", "inf"}},
+            {"figA_heap_timeline", {"quake"}},
+            {"figA_heap_timeline", {"--buckets", "0"}},
+            {"figA_lbo_per_benchmark", {"quake"}},
+            {"figA_latency_all", {"quake"}},
+            {"tab03_nominal_all", {"quake"}},
+            {"tabA_minheap", {"quake"}},
+            {"tabB_characterization", {"quake"}},
+            {"tabC_bytecode", {"quake"}},
+            {"tabC_bytecode", {"--budget", "-1"}},
+            {"fig01_lbo_geomean", {"--jobs", "-2"}},
+            {"fig01_lbo_geomean", {"--seed", "banana"}},
+            {"lbo", {"--heap-factors", "1e308"}},
+            {"openloop", {"--rate", "inf"}},
+            {"openloop", {"--rate", "1e5"}},
+            {"lbo", {"--trace-out", "t.json", "--metrics-interval",
+                     "1e-9"}},
+        };
+
+    const auto &registry = report::ExperimentRegistry::instance();
+    std::stringstream stdout_capture;
+    std::streambuf *old_buf = std::cout.rdbuf(stdout_capture.rdbuf());
+    for (const auto &[name, args] : bad) {
+        SCOPED_TRACE(name + " " + args.front());
+        const report::Experiment *experiment = registry.find(name);
+        if (experiment == nullptr) {
+            ADD_FAILURE() << name << " is not in the experiment registry";
+            continue;
+        }
+        report::ArtifactSink sink(".",
+                                  report::ArtifactSink::Mode::Discard);
+        report::ResultStore store;
+        EXPECT_THROW(report::runRegistered(*experiment, args, sink, store),
+                     harness::ParseError);
+    }
+    std::cout.rdbuf(old_buf);
+
+    // The same process still runs a valid experiment to completion.
+    EXPECT_FALSE(
+        registryTableCsv("ext_openloop_pacing", "openloop", {}).empty());
+}
+
+TEST(GoldenTest, EveryCapoBenchRunNameIsRegistered)
+{
+    // The paper's experiments run as `capo-bench run <name>` (README,
+    // DESIGN.md §3): a bench main that bypasses the registry would
+    // silently fall out of capo-bench, the golden snapshots and the CI
+    // smoke sweep.
     for (const char *name :
          {"fig01_lbo_geomean", "fig02_mmu_pauses",
           "fig03_latency_cassandra", "fig04_pca", "fig05_lbo_cases",
