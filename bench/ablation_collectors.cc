@@ -43,6 +43,7 @@ runVariant(const workloads::Descriptor &workload, double factor,
         0.95 * setup.reference_min_heap_bytes;
     config.seed = options.base_seed;
     config.time_limit_sec = options.time_limit_sec;
+    config.keep_gc_log = true;
     return runtime::runExecution(config, setup.plan, setup.live,
                                  collector);
 }

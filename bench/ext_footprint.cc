@@ -23,6 +23,7 @@ runExtFootprint(report::ExperimentContext &context)
 {
     auto options = context.options;
     options.invocations = 1;
+    options.keep_gc_log = true;
     harness::Runner runner(options);
     const double factor = harness::parseFactor(
         context.flags.getString("factor"), "heap factor");

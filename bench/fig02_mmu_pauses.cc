@@ -69,6 +69,7 @@ runFig02(report::ExperimentContext &context)
     // Real pause logs from a simulated run of lusearch at 2x.
     auto options = context.options;
     options.invocations = 1;
+    options.keep_gc_log = true;
     harness::Runner runner(options);
     for (auto algorithm : {gc::Algorithm::Serial, gc::Algorithm::G1,
                            gc::Algorithm::Shenandoah}) {

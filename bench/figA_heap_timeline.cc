@@ -20,6 +20,7 @@ runFigAHeapTimeline(report::ExperimentContext &context)
 {
     auto options = context.options;
     options.invocations = 1;
+    options.keep_gc_log = true;
     harness::Runner runner(options);
     const auto buckets = static_cast<std::size_t>(
         bench::boundedInt(context.flags, "buckets", 1, 100));

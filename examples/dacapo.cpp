@@ -157,6 +157,7 @@ main(int argc, char **argv)
 
     auto options = plan.options;
     options.trace_rate = workload.latency_sensitive;
+    options.keep_gc_log = flags.getBool("verbose-gc");
 
     const std::string trace_out = flags.getString("trace-out");
     const std::string metrics_csv = flags.getString("metrics-csv");

@@ -42,13 +42,21 @@ main(int argc, char **argv)
                        "cassandra h2 jme kafka lusearch spring tomcat "
                        "tradebeans tradesoap");
     }
-    const auto algorithm =
-        gc::algorithmFromName(flags.getString("collector"));
+    gc::Algorithm algorithm;
+    if (!gc::tryAlgorithmFromName(flags.getString("collector"),
+                                  algorithm)) {
+        std::cerr << "latency_explorer: unknown collector '"
+                  << flags.getString("collector")
+                  << "' (expected serial, parallel, g1, shenandoah, zgc "
+                     "or genzgc)\n";
+        return 2;
+    }
 
     harness::ExperimentOptions options;
     options.iterations = 3;
     options.invocations = 1;
     options.trace_rate = true;
+    options.keep_gc_log = true;  // the pause view and MMU read run.log
     harness::Runner runner(options);
 
     const auto set =

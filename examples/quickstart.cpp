@@ -31,13 +31,21 @@ main(int argc, char **argv)
     flags.parse(argc, argv);
 
     const auto &workload = workloads::byName(flags.getString("workload"));
-    const auto algorithm =
-        gc::algorithmFromName(flags.getString("collector"));
+    gc::Algorithm algorithm;
+    if (!gc::tryAlgorithmFromName(flags.getString("collector"),
+                                  algorithm)) {
+        std::cerr << "quickstart: unknown collector '"
+                  << flags.getString("collector")
+                  << "' (expected serial, parallel, g1, shenandoah, zgc "
+                     "or genzgc)\n";
+        return 2;
+    }
     const double factor = flags.getDouble("factor");
 
     harness::ExperimentOptions options;
     options.iterations = static_cast<int>(flags.getInt("iterations"));
     options.invocations = static_cast<int>(flags.getInt("invocations"));
+    options.keep_gc_log = true;  // the telemetry below reads run.log
 
     std::cout << "workload   " << workload.name << " — "
               << workload.summary << "\n"

@@ -56,18 +56,6 @@ tryAlgorithmFromName(const std::string &name, Algorithm &out)
     return true;
 }
 
-Algorithm
-algorithmFromName(const std::string &name)
-{
-    Algorithm out;
-    if (!tryAlgorithmFromName(name, out)) {
-        support::fatal("unknown collector '", name,
-                       "' (expected serial, parallel, g1, shenandoah, "
-                       "zgc or genzgc)");
-    }
-    return out;
-}
-
 std::vector<Algorithm>
 productionCollectors()
 {

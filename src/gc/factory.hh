@@ -28,11 +28,9 @@ enum class Algorithm {
 /** Short display name ("Serial", "ZGC*", ...) as used in the paper. */
 const char *algorithmName(Algorithm algorithm);
 
-/** Parse a name (case-insensitive); fatal on unknown names. */
-Algorithm algorithmFromName(const std::string &name);
-
-/** Non-fatal variant: false on unknown names (plan-file parsing
- *  surfaces the failure as a ParseError instead of exiting). */
+/** Parse a name (case-insensitive) into @p out; false on unknown
+ *  names, which every command line reports as a usage error (exit 2)
+ *  and plan files as a ParseError. */
 bool tryAlgorithmFromName(const std::string &name, Algorithm &out);
 
 /**

@@ -45,10 +45,13 @@ measureWorkloadStats(const workloads::Descriptor &workload,
     out.addWorkload(w);
 
     ExperimentOptions base = options.base;
-    Runner runner(base);
 
     // ----- Baseline at 2x GMD with the default collector (G1). -----
-    const auto baseline = runner.run(workload, gc::Algorithm::G1, 2.0);
+    // Its GC records feed GCC, GCA, GCM and GCP.
+    ExperimentOptions logged = base;
+    logged.keep_gc_log = true;
+    const auto baseline =
+        Runner(logged).run(workload, gc::Algorithm::G1, 2.0);
     if (!baseline.allCompleted()) {
         support::warn("characterization baseline failed for ", w);
         return;
@@ -132,6 +135,7 @@ measureWorkloadStats(const workloads::Descriptor &workload,
 
     // ----- Heap-size sensitivity (GSS). -----
     {
+        Runner runner(base);
         const auto tight = runner.run(workload, gc::Algorithm::G1,
                                       options.tight_factor);
         const auto roomy = runner.run(workload, gc::Algorithm::G1,
@@ -148,6 +152,7 @@ measureWorkloadStats(const workloads::Descriptor &workload,
         ExperimentOptions leak_opts = base;
         leak_opts.iterations = 10;
         leak_opts.invocations = 1;
+        leak_opts.keep_gc_log = true;
         Runner leak_runner(leak_opts);
         const auto run =
             leak_runner.run(workload, gc::Algorithm::G1, 3.0);

@@ -249,6 +249,7 @@ Runner::executeInvocation(const workloads::Descriptor &workload,
         config.fault_attempt = attempt;
     }
     config.load = load;
+    config.keep_gc_log = options_.keep_gc_log;
 
     auto result = runtime::runExecution(config, setup.plan, setup.live,
                                         collector);

@@ -38,6 +38,13 @@ struct ExperimentOptions
     bool trace_rate = false;       ///< Needed for latency synthesis.
     double time_limit_sec = 2000;  ///< Per-invocation sim-time cap.
 
+    /** Keep each run's GC phase and cycle records (runtime::
+     *  ExecutionConfig::keep_gc_log) for callers that read
+     *  ExecutionResult::log's record queries: MMU, heap timelines,
+     *  footprints, GC logs. Off, the log answers only its stall
+     *  totals; the timed slice is the same either way. */
+    bool keep_gc_log = false;
+
     /**
      * Parallelism for invocations and sweep cells: 1 runs serially on
      * the calling thread (the default), 0 uses every hardware thread,

@@ -1,10 +1,8 @@
 #include "report/table.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string_view>
 
-#include "report/codec.hh"
 #include "support/csv.hh"
 #include "support/logging.hh"
 #include "support/table.hh"
@@ -19,26 +17,6 @@ formatDouble(double value)
     char buffer[64];
     std::snprintf(buffer, sizeof buffer, "%.17g", value);
     return buffer;
-}
-
-bool
-parseInt(const std::string &text, std::int64_t &value)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    value = std::strtoll(text.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
-}
-
-bool
-parseUint(const std::string &text, std::uint64_t &value)
-{
-    if (text.empty() || text[0] == '-')
-        return false;
-    char *end = nullptr;
-    value = std::strtoull(text.c_str(), &end, 10);
-    return end != nullptr && *end == '\0';
 }
 
 std::string
@@ -77,24 +55,6 @@ jsonEscape(const std::string &text)
 }
 
 } // namespace
-
-const char *
-typeName(Type type)
-{
-    switch (type) {
-      case Type::String:
-        return "string";
-      case Type::Double:
-        return "double";
-      case Type::Int:
-        return "int";
-      case Type::Uint:
-        return "uint";
-      case Type::Bool:
-        return "bool";
-    }
-    return "?";
-}
 
 Value
 Value::str(std::string v)
@@ -157,78 +117,6 @@ Value::display() const
         return b_ ? "1" : "0";
     }
     return "";
-}
-
-std::string
-Value::encode() const
-{
-    // Doubles are the one type decimal text can corrupt; everything
-    // else already round-trips through its display form.
-    if (type_ == Type::Double)
-        return encodeDouble(d_);
-    return display();
-}
-
-bool
-Value::decode(Type type, const std::string &field, Value &value)
-{
-    switch (type) {
-      case Type::String:
-        value = Value::str(field);
-        return true;
-      case Type::Double: {
-        double d;
-        if (!decodeDouble(field, d))
-            return false;
-        value = Value::dbl(d);
-        return true;
-      }
-      case Type::Int: {
-        std::int64_t i;
-        if (!parseInt(field, i))
-            return false;
-        value = Value::integer(i);
-        return true;
-      }
-      case Type::Uint: {
-        std::uint64_t u;
-        if (!parseUint(field, u))
-            return false;
-        value = Value::uinteger(u);
-        return true;
-      }
-      case Type::Bool:
-        if (field == "1")
-            value = Value::boolean(true);
-        else if (field == "0")
-            value = Value::boolean(false);
-        else
-            return false;
-        return true;
-    }
-    return false;
-}
-
-bool
-Value::identical(const Value &other) const
-{
-    if (type_ != other.type_)
-        return false;
-    switch (type_) {
-      case Type::String:
-        return s_ == other.s_;
-      case Type::Double:
-        // Bit-pattern comparison: distinguishes -0.0 from 0.0 and
-        // treats equal-bit NaNs as equal, exactly like the codec.
-        return encodeDouble(d_) == encodeDouble(other.d_);
-      case Type::Int:
-        return i_ == other.i_;
-      case Type::Uint:
-        return u_ == other.u_;
-      case Type::Bool:
-        return b_ == other.b_;
-    }
-    return false;
 }
 
 Schema::Schema(std::initializer_list<Column> columns)
@@ -374,58 +262,6 @@ ResultTable::renderAscii(std::ostream &out) const
     }
     text.render(out);
     return rows_.size();
-}
-
-std::vector<std::string>
-ResultTable::encodeRow(std::size_t index) const
-{
-    CAPO_ASSERT(index < rows_.size(), "result row index out of range");
-    std::vector<std::string> fields;
-    fields.reserve(schema_.size());
-    for (const auto &value : rows_[index])
-        fields.push_back(value.encode());
-    return fields;
-}
-
-bool
-ResultTable::decodeRow(const std::vector<std::string> &fields,
-                       std::vector<Value> &row) const
-{
-    if (fields.size() != schema_.size())
-        return false;
-    std::vector<Value> decoded(fields.size());
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-        if (!Value::decode(schema_.columns()[i].type, fields[i],
-                           decoded[i]))
-            return false;
-    }
-    row = std::move(decoded);
-    return true;
-}
-
-bool
-ResultTable::addDecodedRow(const std::vector<std::string> &fields)
-{
-    std::vector<Value> row;
-    if (!decodeRow(fields, row))
-        return false;
-    rows_.push_back(std::move(row));
-    return true;
-}
-
-bool
-ResultTable::identical(const ResultTable &other) const
-{
-    if (!(schema_ == other.schema_) ||
-        rows_.size() != other.rows_.size())
-        return false;
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-        for (std::size_t c = 0; c < rows_[r].size(); ++c) {
-            if (!rows_[r][c].identical(other.rows_[r][c]))
-                return false;
-        }
-    }
-    return true;
 }
 
 ResultTable &

@@ -12,11 +12,7 @@
  *    with %.17g so re-parsing is exact),
  *  - JSON-lines (one object per row, for downstream tooling),
  *  - the aligned ASCII tables the bench binaries print (strings left,
- *    numbers right, matching support::TextTable conventions),
- *  - exact records (report/codec.hh framing with bit-pattern doubles)
- *    — the same encoding the checkpoint journal uses, which is what
- *    makes "restore a journaled cell" and "decode a table row" the
- *    same operation.
+ *    numbers right, matching support::TextTable conventions).
  *
  * A `ResultStore` is the named collection of tables one experiment
  * produces; the registry runner flushes a store through the
@@ -36,9 +32,6 @@ namespace capo::report {
 
 /** Column/value types a result table can carry. */
 enum class Type : std::uint8_t { String, Double, Int, Uint, Bool };
-
-/** Printable name of a type ("string", "double", ...). */
-const char *typeName(Type type);
 
 /** One typed cell. */
 class Value
@@ -62,16 +55,6 @@ class Value
     /** Human/CSV form: strings verbatim, doubles %.17g (exact on
      *  re-parse), ints decimal, bools 0/1. */
     std::string display() const;
-
-    /** Exact record field (doubles as bit patterns; see codec.hh). */
-    std::string encode() const;
-
-    /** Decode an exact record field of the given type. */
-    static bool decode(Type type, const std::string &field,
-                      Value &value);
-
-    /** Bitwise/exact equality (doubles compared by bit pattern). */
-    bool identical(const Value &other) const;
 
   private:
     Type type_;
@@ -136,20 +119,6 @@ class ResultTable
     std::size_t writeJsonl(std::ostream &out) const;
     std::size_t renderAscii(std::ostream &out) const;
     /** @} */
-
-    /** Encode row @p index as exact record fields (codec framing). */
-    std::vector<std::string> encodeRow(std::size_t index) const;
-
-    /** Decode exact record fields against this table's schema. */
-    bool decodeRow(const std::vector<std::string> &fields,
-                   std::vector<Value> &row) const;
-
-    /** Append a row decoded from exact record fields; false (and no
-     *  append) when the fields do not match the schema. */
-    bool addDecodedRow(const std::vector<std::string> &fields);
-
-    /** Bitwise equality of schema and every row. */
-    bool identical(const ResultTable &other) const;
 
   private:
     Schema schema_;

@@ -41,7 +41,7 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
         config.survivor_reference_bytes;
     heap::HeapSpace heap(heap_config, live);
 
-    GcEventLog log;
+    GcEventLog log(config.keep_gc_log);
     World &world = scratch.world();
     world.rebind(engine);
 
@@ -161,10 +161,8 @@ runExecution(const ExecutionConfig &config, const MutatorPlan &plan,
         const auto &timed = result.iterations.back();
         result.timed.wall = timed.wall();
         result.timed.cpu = timed.cpu();
-        result.timed.stw_wall = log.stwWall(timed.wall_begin,
-                                            timed.wall_end);
-        result.timed.stw_cpu = log.stwCpu(timed.wall_begin,
-                                          timed.wall_end);
+        result.timed.stw_wall = log.timedStwWall();
+        result.timed.stw_cpu = log.timedStwCpu();
     }
 
     result.log = std::move(log);

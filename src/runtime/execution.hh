@@ -87,6 +87,11 @@ struct ExecutionConfig
     /** Optional open-loop traffic generator; null runs the classic
      *  closed-loop mutator alone. Must outlive the run. */
     LoadGenerator *load = nullptr;
+
+    /** Keep every GC phase and cycle record in ExecutionResult::log.
+     *  Off, the log keeps none and its record queries throw; the timed
+     *  slice and the stall totals are the same either way. */
+    bool keep_gc_log = false;
 };
 
 /** Everything measured during one invocation. */
@@ -103,6 +108,8 @@ struct ExecutionResult
     double mutator_cpu = 0.0;  ///< Task clock consumed by mutators.
     double gc_cpu = 0.0;       ///< Task clock consumed by the collector.
 
+    /** Collector events; phase and cycle records only when the run
+     *  was made with ExecutionConfig::keep_gc_log. */
     GcEventLog log;
     std::vector<sim::RateSegment> rate_timeline;
     double baseline_rate = 1.0;  ///< Per-width rate with an idle machine.
@@ -119,7 +126,8 @@ struct ExecutionResult
      *  sufficed). Set by the harness, not by runExecution. */
     int attempts = 1;
 
-    /** Measurements over the timed (last completed) iteration. */
+    /** Measurements over the timed (last completed) iteration; the
+     *  pause sums stream from the log's timed window. */
     struct TimedSlice {
         double wall = 0.0;
         double cpu = 0.0;

@@ -1,6 +1,8 @@
 #include "runtime/gc_event_log.hh"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "support/logging.hh"
 
@@ -80,12 +82,26 @@ GcEventLog::endPhase(PhaseToken token, sim::Time t, double cpu)
         sink_->endSpan(trackFor(rec.phase), trace::Category::Gc,
                        phaseName(rec.phase), t);
     }
+    // The terms stwWall/stwCpu add for a pause wholly inside
+    // [from, to): the overlap is end - begin and the CPU fraction 1.
+    if (timed_open_ && isStwPhase(rec.phase)) {
+        const double window = rec.duration();
+        timed_stw_wall_ += window;
+        if (window > 0.0)
+            timed_stw_cpu_ += cpu;
+    }
+    if (!keep_records_) {
+        // Tokens index phases_, so only the closed tail can go.
+        while (!phases_.empty() && !phases_.back().open)
+            phases_.pop_back();
+    }
 }
 
 void
 GcEventLog::recordCycle(const CycleRecord &cycle)
 {
-    cycles_.push_back(cycle);
+    if (keep_records_)
+        cycles_.push_back(cycle);
 }
 
 void
@@ -94,6 +110,56 @@ GcEventLog::recordStall(sim::Time begin, sim::Time end)
     CAPO_ASSERT(end >= begin, "stall ends before it begins");
     stall_wall_ += end - begin;
     ++stall_count_;
+}
+
+bool
+GcEventLog::stwPhaseOpen() const
+{
+    return std::any_of(phases_.begin(), phases_.end(),
+                       [](const PauseRecord &p) {
+                           return p.open && isStwPhase(p.phase);
+                       });
+}
+
+void
+GcEventLog::openTimedWindow()
+{
+    CAPO_ASSERT(!timed_open_, "timed window already open");
+    CAPO_ASSERT(!stwPhaseOpen(), "timed window opens inside a pause");
+    timed_open_ = true;
+}
+
+void
+GcEventLog::closeTimedWindow()
+{
+    CAPO_ASSERT(timed_open_, "timed window not open");
+    CAPO_ASSERT(!stwPhaseOpen(), "timed window closes inside a pause");
+    timed_open_ = false;
+}
+
+void
+GcEventLog::requireRecords(const char *query) const
+{
+    if (!keep_records_) {
+        throw std::logic_error(
+            std::string("GcEventLog::") + query +
+            ": this log kept no records; set keep_gc_log "
+            "(ExperimentOptions or ExecutionConfig) to keep them");
+    }
+}
+
+const std::vector<PauseRecord> &
+GcEventLog::phases() const
+{
+    requireRecords("phases");
+    return phases_;
+}
+
+const std::vector<CycleRecord> &
+GcEventLog::cycles() const
+{
+    requireRecords("cycles");
+    return cycles_;
 }
 
 namespace {
@@ -112,6 +178,7 @@ overlap(sim::Time b, sim::Time e, sim::Time from, sim::Time to)
 double
 GcEventLog::stwWall(sim::Time from, sim::Time to) const
 {
+    requireRecords("stwWall");
     double total = 0.0;
     for (const auto &p : phases_) {
         if (!isStwPhase(p.phase))
@@ -124,6 +191,7 @@ GcEventLog::stwWall(sim::Time from, sim::Time to) const
 double
 GcEventLog::stwCpu(sim::Time from, sim::Time to) const
 {
+    requireRecords("stwCpu");
     double total = 0.0;
     for (const auto &p : phases_) {
         if (!isStwPhase(p.phase))
@@ -141,6 +209,7 @@ GcEventLog::stwCpu(sim::Time from, sim::Time to) const
 double
 GcEventLog::totalGcCpu() const
 {
+    requireRecords("totalGcCpu");
     double total = 0.0;
     for (const auto &p : phases_)
         total += p.cpu;
@@ -150,6 +219,7 @@ GcEventLog::totalGcCpu() const
 double
 GcEventLog::maxPause() const
 {
+    requireRecords("maxPause");
     double longest = 0.0;
     for (const auto &p : phases_) {
         if (isStwPhase(p.phase))
@@ -161,6 +231,7 @@ GcEventLog::maxPause() const
 std::size_t
 GcEventLog::pauseCount() const
 {
+    requireRecords("pauseCount");
     std::size_t n = 0;
     for (const auto &p : phases_)
         n += isStwPhase(p.phase);
@@ -170,6 +241,7 @@ GcEventLog::pauseCount() const
 std::vector<std::pair<sim::Time, sim::Time>>
 GcEventLog::stwIntervals() const
 {
+    requireRecords("stwIntervals");
     std::vector<std::pair<sim::Time, sim::Time>> intervals;
     for (const auto &p : phases_) {
         if (isStwPhase(p.phase) && p.duration() > 0.0)

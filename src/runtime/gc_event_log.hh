@@ -4,9 +4,13 @@
  *
  * The lower-bound-overhead methodology (Cai et al., reproduced here)
  * only attributes to the collector what a JVMTI agent can observe:
- * stop-the-world windows. GcEventLog records exactly that boundary
+ * stop-the-world windows. GcEventLog sees exactly that boundary
  * (pauses, with the CPU consumed inside them) plus per-cycle telemetry
  * (reclaimed bytes, post-GC heap size) equivalent to parsing a GC log.
+ *
+ * LBO needs only the timed iteration's pause wall and CPU, so the log
+ * sums those as the pauses close (the timed window) and keeps the
+ * per-event records only when asked to (DESIGN.md §17).
  */
 
 #ifndef CAPO_RUNTIME_GC_EVENT_LOG_HH
@@ -62,6 +66,11 @@ struct CycleRecord
 
 /**
  * Accumulates collector events over one execution.
+ *
+ * Every log streams the timed window's stop-the-world totals and the
+ * stall totals. Only a log that keeps records (the default) answers
+ * the record queries; one built with @c keep_records false holds just
+ * its open phases, and its record queries throw std::logic_error.
  */
 class GcEventLog
 {
@@ -69,6 +78,13 @@ class GcEventLog
     /** Identifies an open phase window (phases may overlap, e.g.\ G1
      *  young pauses inside concurrent marking). */
     using PhaseToken = std::size_t;
+
+    /** @param keep_records Keep every phase and cycle record for the
+     *  record queries (runExecution passes its config's keep_gc_log). */
+    explicit GcEventLog(bool keep_records = true)
+        : keep_records_(keep_records)
+    {
+    }
 
     /**
      * Forward phase windows into a trace sink as they are recorded:
@@ -101,9 +117,23 @@ class GcEventLog
     /** Record an allocation-stall episode (mutator blocked). */
     void recordStall(sim::Time begin, sim::Time end);
 
-    /** @{ Queries. */
-    const std::vector<PauseRecord> &phases() const { return phases_; }
-    const std::vector<CycleRecord> &cycles() const { return cycles_; }
+    /**
+     * @{ The timed window. While it is open, endPhase() adds each
+     * stop-the-world phase's wall time, and its CPU when the wall time
+     * is positive. No stop-the-world phase may be open at either edge,
+     * so the sums equal stwWall()/stwCpu() over the window, bit for
+     * bit: each pause lies wholly inside or wholly outside it.
+     */
+    void openTimedWindow();
+    void closeTimedWindow();
+    double timedStwWall() const { return timed_stw_wall_; }
+    double timedStwCpu() const { return timed_stw_cpu_; }
+    /** @} */
+
+    /** @{ Record queries; they throw std::logic_error unless the log
+     *  keeps records. */
+    const std::vector<PauseRecord> &phases() const;
+    const std::vector<CycleRecord> &cycles() const;
 
     /** STW wall time in [from, to) (whole log by default). */
     double stwWall(sim::Time from = 0.0, sim::Time to = -1.0) const;
@@ -122,7 +152,9 @@ class GcEventLog
 
     /** STW intervals (begin, end), for MMU and latency overlays. */
     std::vector<std::pair<sim::Time, sim::Time>> stwIntervals() const;
+    /** @} */
 
+    /** @{ Stall totals, kept by every log. */
     /** Total wall time mutators spent in allocation stalls. */
     double stallWall() const { return stall_wall_; }
     std::size_t stallCount() const { return stall_count_; }
@@ -132,8 +164,20 @@ class GcEventLog
     /** Track a phase span is emitted on (pause vs.\ concurrent). */
     trace::TrackId trackFor(GcPhase phase) const;
 
+    /** Throw std::logic_error naming @p query unless records are kept. */
+    void requireRecords(const char *query) const;
+
+    /** Is a stop-the-world phase open? */
+    bool stwPhaseOpen() const;
+
+    bool keep_records_;
+    /** Every phase when keeping records, else the open ones (and any
+     *  closed phase below the newest open one). */
     std::vector<PauseRecord> phases_;
     std::vector<CycleRecord> cycles_;
+    bool timed_open_ = false;
+    double timed_stw_wall_ = 0.0;
+    double timed_stw_cpu_ = 0.0;
     double stall_wall_ = 0.0;
     std::size_t stall_count_ = 0;
 

@@ -54,6 +54,11 @@ MutatorGroup::beginIteration(sim::Engine &engine)
     rec.wall_begin = engine.now();
     rec.cpu_begin = engine.totalCpuTime();
     iterations_.push_back(rec);
+    // The last planned iteration is the timed one. Only the mutator
+    // opens and closes it, and it is frozen in every pause, so no
+    // pause straddles the window.
+    if (iteration_ == plan_.iterations - 1)
+        log_.openTimedWindow();
 
     if (sink_) {
         sink_->beginSpan(track_, trace::Category::Runtime, "iteration",
@@ -98,6 +103,8 @@ MutatorGroup::endIteration(sim::Engine &engine)
     auto &rec = iterations_.back();
     rec.wall_end = engine.now();
     rec.cpu_end = engine.totalCpuTime();
+    if (iteration_ == plan_.iterations - 1)
+        log_.closeTimedWindow();
     if (sink_) {
         sink_->endSpan(track_, trace::Category::Runtime, "iteration",
                        rec.wall_end);

@@ -81,7 +81,8 @@ class MutatorGroup : public sim::Agent
      * @param plan What to execute.
      * @param allocator The collector's allocation interface.
      * @param heap Shared heap (for progress updates and chunk sizing).
-     * @param log Event log (allocation stalls are recorded here).
+     * @param log Event log (allocation stalls are recorded here, and
+     *            the last iteration opens and closes its timed window).
      * @param rng Private random stream for noise.
      */
     MutatorGroup(const MutatorPlan &plan, Allocator &allocator,

@@ -27,6 +27,7 @@ config(double heap_mb, double survivor = 0.03)
     c.survivor_reference_bytes = heap_mb * 1024.0 * 1024.0 * 0.5;
     c.seed = 11;
     c.time_limit_sec = 400;
+    c.keep_gc_log = true;
     return c;
 }
 
@@ -238,12 +239,15 @@ TEST(GenZgcTest, YoungCyclesCheapenCollectionForBigLiveSets)
 
 TEST(FactoryTest, NamesRoundTrip)
 {
-    for (auto algorithm : allCollectors()) {
-        EXPECT_EQ(algorithmFromName(algorithmName(algorithm)),
-                  algorithm);
-    }
-    EXPECT_EQ(algorithmFromName("shenandoah"), Algorithm::Shenandoah);
-    EXPECT_EQ(algorithmFromName("ZGC*"), Algorithm::Zgc);
+    const auto parse = [](const std::string &name) {
+        Algorithm out = Algorithm::Serial;
+        EXPECT_TRUE(tryAlgorithmFromName(name, out)) << name;
+        return out;
+    };
+    for (auto algorithm : allCollectors())
+        EXPECT_EQ(parse(algorithmName(algorithm)), algorithm);
+    EXPECT_EQ(parse("shenandoah"), Algorithm::Shenandoah);
+    EXPECT_EQ(parse("ZGC*"), Algorithm::Zgc);
 }
 
 TEST(FactoryTest, ProductionSetMatchesPaperLegend)

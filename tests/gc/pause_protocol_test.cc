@@ -24,6 +24,11 @@
  *     sleep-then-dispatch-then-compute pair it replaces, minus one
  *     agent dispatch.
  *
+ *  4. The streamed timed slice (DESIGN.md §17): the pause wall and CPU
+ *     the log sums as pauses close must equal, bit for bit, the
+ *     windowed stwWall/stwCpu queries over the kept records, and a
+ *     run made without keep_gc_log must refuse every record query.
+ *
  * Regenerating after an *intentional* behaviour change:
  *
  *     CAPO_REGEN_GOLDEN=1 ./build/tests/pause_protocol_test
@@ -33,12 +38,16 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
+#include "fault/fault.hh"
 #include "gc/factory.hh"
 #include "harness/lbo_experiment.hh"
+#include "harness/runner.hh"
 #include "metrics/export.hh"
 #include "report/codec.hh"
 #include "runtime/execution.hh"
@@ -91,6 +100,7 @@ execConfig(double heap_mb)
     c.survivor_reference_bytes = heap_mb * 1024.0 * 1024.0 * 0.5;
     c.seed = 11;
     c.time_limit_sec = 400;
+    c.keep_gc_log = true;
     return c;
 }
 
@@ -261,6 +271,117 @@ TEST(PauseDeterminismTest, LboSweepBitwiseAcrossJobs)
     metrics::exportLboCsv(serial.analysis, a);
     metrics::exportLboCsv(parallel.analysis, b);
     EXPECT_EQ(a.str(), b.str());
+}
+
+// ---------------------------------------------------------------------
+// The streamed timed slice equals the windowed queries, bit for bit.
+
+/** Bitwise equality: a tolerance would hide a reordered sum. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/** Check every completed run of @p set; returns how many had pauses
+ *  inside the timed iteration. */
+int
+expectTimedSliceExact(const harness::InvocationSet &set,
+                      const std::string &cell)
+{
+    int paused = 0;
+    for (const auto &run : set.runs) {
+        if (!run.usable())
+            continue;
+        const auto &timed = run.iterations.back();
+        const double wall =
+            run.log.stwWall(timed.wall_begin, timed.wall_end);
+        const double cpu =
+            run.log.stwCpu(timed.wall_begin, timed.wall_end);
+        EXPECT_TRUE(sameBits(run.timed.stw_wall, wall))
+            << cell << ": streamed " << run.timed.stw_wall
+            << " vs windowed " << wall;
+        EXPECT_TRUE(sameBits(run.timed.stw_cpu, cpu))
+            << cell << ": streamed " << run.timed.stw_cpu
+            << " vs windowed " << cpu;
+        paused += wall > 0.0;
+    }
+    return paused;
+}
+
+TEST(StreamedSliceTest, MatchesWindowedQueriesBitForBit)
+{
+    harness::ExperimentOptions options;
+    options.iterations = 3;
+    options.invocations = 1;
+    options.time_limit_sec = 300;
+    options.keep_gc_log = true;
+    const harness::Runner runner(options);
+
+    int cells = 0, paused = 0;
+    for (const char *name : {"fop", "lusearch", "h2", "cassandra"}) {
+        const auto &workload = workloads::byName(name);
+        for (auto algorithm : gc::productionCollectors()) {
+            for (double factor : {1.0, 1.5, 3.0}) {
+                const auto set = runner.run(workload, algorithm, factor);
+                cells += set.allCompleted();
+                paused += expectTimedSliceExact(
+                    set, std::string(name) + "/" +
+                             gc::algorithmName(algorithm) + " at " +
+                             std::to_string(factor) + "x");
+            }
+        }
+    }
+    // Guard against a vacuous pass: 56 of the 60 cells complete, and
+    // every completed cell pauses inside its timed iteration.
+    EXPECT_GE(cells, 50);
+    EXPECT_EQ(paused, cells);
+
+    // The fault sites a run survives: perturbed timers shift the
+    // safepoint waits, stall overruns shift the mutator. (Injected
+    // OOMs and phase aborts at this rate fail every fop run.)
+    auto faulty = options;
+    std::string error;
+    ASSERT_TRUE(fault::parseFaultSpec("timer=0.01,stall=0.01",
+                                      faulty.faults, error))
+        << error;
+    faulty.retries = 1;
+    const auto set = harness::Runner(faulty).run(
+        workloads::byName("fop"), gc::Algorithm::G1, 2.0);
+    ASSERT_TRUE(set.allCompleted());
+    EXPECT_FALSE(set.runs.front().faults.empty());
+    EXPECT_EQ(expectTimedSliceExact(set, "fop/G1 with faults"), 1);
+}
+
+TEST(StreamedSliceTest, RecordQueriesThrowWithoutKeepGcLog)
+{
+    harness::ExperimentOptions options;
+    options.iterations = 2;
+    options.invocations = 1;
+    const auto set = harness::Runner(options).run(
+        workloads::byName("fop"), gc::Algorithm::G1, 2.0);
+    ASSERT_TRUE(set.allCompleted());
+    const auto &run = set.runs.front();
+    const auto &log = run.log;
+    EXPECT_THROW(log.phases(), std::logic_error);
+    EXPECT_THROW(log.cycles(), std::logic_error);
+    EXPECT_THROW(log.stwWall(), std::logic_error);
+    EXPECT_THROW(log.stwCpu(), std::logic_error);
+    EXPECT_THROW(log.totalGcCpu(), std::logic_error);
+    EXPECT_THROW(log.maxPause(), std::logic_error);
+    EXPECT_THROW(log.pauseCount(), std::logic_error);
+    EXPECT_THROW(log.stwIntervals(), std::logic_error);
+    try {
+        log.pauseCount();
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("keep_gc_log"),
+                  std::string::npos)
+            << e.what();
+    }
+    // The slice and the stall totals never needed records.
+    EXPECT_GT(run.timed.stw_wall, 0.0);
+    EXPECT_GT(run.timed.stw_cpu, 0.0);
+    EXPECT_EQ(log.stallCount(), run.stall_count);
 }
 
 // ---------------------------------------------------------------------

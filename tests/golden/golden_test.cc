@@ -248,6 +248,7 @@ TEST(GoldenTest, FigAHeapTimeline)
     harness::ExperimentOptions options;
     options.iterations = 2;
     options.time_limit_sec = 300;
+    options.keep_gc_log = true;
     harness::Runner runner(options);
     const auto &fop = workloads::byName("fop");
     const auto run =

@@ -75,6 +75,27 @@ TEST(DeterminismTest, InvocationSetBitIdenticalAcrossJobs)
         expectRunsIdentical(a.runs[i], b.runs[i]);
 }
 
+TEST(DeterminismTest, KeepingGcRecordsChangesNoResult)
+{
+    // keep_gc_log only decides what the log stores; the timed slice
+    // streams the same way either way. A tight and a roomy heap, so
+    // stalls and degenerated cycles are covered too.
+    const auto &lusearch = workloads::byName("lusearch");
+    auto kept_options = baseOptions(1);
+    kept_options.keep_gc_log = true;
+    for (auto algorithm : gc::productionCollectors()) {
+        for (double factor : {1.5, 3.0}) {
+            const auto dropped =
+                Runner(baseOptions(1)).run(lusearch, algorithm, factor);
+            const auto kept =
+                Runner(kept_options).run(lusearch, algorithm, factor);
+            ASSERT_EQ(dropped.runs.size(), kept.runs.size());
+            for (std::size_t i = 0; i < kept.runs.size(); ++i)
+                expectRunsIdentical(dropped.runs[i], kept.runs[i]);
+        }
+    }
+}
+
 TEST(DeterminismTest, LboTablesIdenticalAcrossJobsAllCollectors)
 {
     // The full production-collector set (all five), exported to the

@@ -27,6 +27,7 @@ TEST_P(EveryWorkload, RunsCleanlyAtDefaultConfiguration)
     options.iterations = 2;
     options.invocations = 1;
     options.trace_rate = workload.latency_sensitive;
+    options.keep_gc_log = true;
     harness::Runner runner(options);
 
     const auto set = runner.run(workload, gc::Algorithm::G1, 2.0);

@@ -66,31 +66,6 @@ TEST(CodecTest, RecordFramingRoundTrips)
 // ---------------------------------------------------------------------
 // Values and tables.
 
-TEST(TableTest, ValuesEncodeDecodeExactly)
-{
-    const struct
-    {
-        Value value;
-        Type type;
-    } cases[] = {
-        {Value::str("hello"), Type::String},
-        {Value::dbl(1.0 / 3.0), Type::Double},
-        {Value::integer(-42), Type::Int},
-        {Value::uinteger(0xffffffffffffffffULL), Type::Uint},
-        {Value::boolean(true), Type::Bool},
-    };
-    for (const auto &c : cases) {
-        Value back;
-        ASSERT_TRUE(Value::decode(c.type, c.value.encode(), back));
-        EXPECT_TRUE(c.value.identical(back))
-            << typeName(c.type) << " did not round-trip";
-    }
-
-    // Doubles compare by bit pattern: +0.0 and -0.0 are different
-    // values even though they compare == as doubles.
-    EXPECT_FALSE(Value::dbl(0.0).identical(Value::dbl(-0.0)));
-}
-
 Schema
 smallSchema()
 {
@@ -128,21 +103,6 @@ TEST(TableTest, CsvWriterIsStable)
         std::strtod(csv.substr(line2_at + 3, comma).c_str(), nullptr);
     const double original = 1.0 / 3.0;
     EXPECT_EQ(std::memcmp(&reparsed, &original, sizeof original), 0);
-}
-
-TEST(TableTest, RowsRoundTripThroughRecords)
-{
-    const auto table = smallTable();
-    ResultTable rebuilt(table.schema());
-    for (std::size_t i = 0; i < table.rowCount(); ++i)
-        ASSERT_TRUE(rebuilt.addDecodedRow(table.encodeRow(i)));
-    EXPECT_TRUE(rebuilt.identical(table));
-
-    // Wrong arity and undecodable fields are rejected, not adopted.
-    EXPECT_FALSE(rebuilt.addDecodedRow({"fop", "only-two"}));
-    EXPECT_FALSE(rebuilt.addDecodedRow(
-        {"fop", "not-a-bit-pattern", "1", "3"}));
-    EXPECT_EQ(rebuilt.rowCount(), table.rowCount());
 }
 
 TEST(TableTest, StoreGetOrCreateKeepsInsertionOrder)

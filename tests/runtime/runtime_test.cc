@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "runtime/execution.hh"
 #include "runtime/gc_event_log.hh"
 #include "runtime/mutator.hh"
@@ -63,6 +65,51 @@ TEST(GcEventLogTest, StallAccounting)
     log.recordStall(50.0, 55.0);
     EXPECT_DOUBLE_EQ(log.stallWall(), 25.0);
     EXPECT_EQ(log.stallCount(), 2u);
+}
+
+TEST(GcEventLogTest, TimedWindowSumsThePausesInsideIt)
+{
+    GcEventLog log;
+    log.endPhase(log.beginPhase(0.0, GcPhase::YoungPause), 10.0, 30.0);
+    log.openTimedWindow();  // at t = 10, as the pause closes
+    const auto conc = log.beginPhase(12.0, GcPhase::Concurrent);
+    log.endPhase(log.beginPhase(20.0, GcPhase::YoungPause), 20.0, 7.0);
+    log.endPhase(log.beginPhase(30.0, GcPhase::FullPause), 45.0, 90.0);
+    log.endPhase(conc, 60.0, 500.0);
+    log.closeTimedWindow();  // at t = 70
+    log.endPhase(log.beginPhase(70.0, GcPhase::YoungPause), 80.0, 40.0);
+
+    // The zero-length pause adds no CPU; the concurrent phase none.
+    EXPECT_EQ(log.timedStwWall(), 15.0);
+    EXPECT_EQ(log.timedStwCpu(), 90.0);
+    EXPECT_EQ(log.timedStwWall(), log.stwWall(10.0, 70.0));
+    EXPECT_EQ(log.timedStwCpu(), log.stwCpu(10.0, 70.0));
+}
+
+TEST(GcEventLogTest, RecordFreeLogKeepsOnlyOpenPhases)
+{
+    GcEventLog log(/*keep_records=*/false);
+    log.openTimedWindow();
+    // A young pause nested in concurrent marking, the case where a
+    // closed phase must wait under an open one.
+    const auto conc = log.beginPhase(0.0, GcPhase::Concurrent);
+    const auto young = log.beginPhase(10.0, GcPhase::YoungPause);
+    log.endPhase(conc, 15.0, 300.0);
+    log.endPhase(young, 20.0, 50.0);
+    const auto full = log.beginPhase(30.0, GcPhase::FullPause);
+    EXPECT_EQ(full, 0u) << "closed phases were not dropped";
+    log.endPhase(full, 40.0, 80.0);
+    log.recordCycle(CycleRecord{});
+    log.recordStall(50.0, 55.0);
+    log.closeTimedWindow();
+
+    EXPECT_EQ(log.timedStwWall(), 20.0);
+    EXPECT_EQ(log.timedStwCpu(), 130.0);
+    EXPECT_EQ(log.stallWall(), 5.0);
+    EXPECT_EQ(log.stallCount(), 1u);
+    // Every record query refuses (pause_protocol_test checks them all
+    // on a real run).
+    EXPECT_THROW(log.cycles(), std::logic_error);
 }
 
 /** Collector that always grants (a "perfect" GC). */

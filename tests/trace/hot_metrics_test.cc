@@ -112,6 +112,7 @@ TEST_F(HotMetricsTest, EachPauseIsCountedInItsOwnCell)
     options.iterations = 3;
     options.invocations = 1;
     options.jobs = 1;
+    options.keep_gc_log = true;
     const harness::Runner runner(options);
     const auto &fop = workloads::byName("fop");
     for (const double factor : {1.25, 2.0}) {

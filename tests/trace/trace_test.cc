@@ -367,6 +367,7 @@ class TracedRunTest : public ::testing::Test
         options.trace = &sink_;
         options.metrics = &registry_;
         options.metrics_interval_ms = 5.0;
+        options.keep_gc_log = true;
 
         harness::Runner runner(options);
         const auto &fop = workloads::byName("fop");
@@ -526,6 +527,7 @@ TEST(TracedRunOverheadTest, DisabledTracingChangesNothing)
     options.iterations = 2;
     options.invocations = 1;
     options.time_limit_sec = 300;
+    options.keep_gc_log = true;
 
     harness::Runner runner(options);
     const auto &fop = workloads::byName("fop");
